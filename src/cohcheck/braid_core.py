@@ -17,6 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
+
+from .errors import StructureError
 
 Perm = tuple[int, ...]
 
@@ -31,7 +34,8 @@ def identity_perm(n: int) -> Perm:
 
 def compose_perm(p: Perm, q: Perm) -> Perm:
     """(p o q)[i] = p[q[i]]; q acts first."""
-    assert len(p) == len(q)
+    if len(p) != len(q):
+        raise StructureError(f"cannot compose permutations of {len(p)} and {len(q)} points")
     return tuple(p[q[i]] for i in range(len(q)))
 
 
@@ -44,7 +48,8 @@ def inverse_perm(p: Perm) -> Perm:
 
 def transposition(n: int, j: int) -> Perm:
     """Swap of positions j and j+1, 0-indexed."""
-    assert 0 <= j < n - 1
+    if not 0 <= j < n - 1:
+        raise StructureError(f"no transposition at {j} on {n} points")
     p = list(range(n))
     p[j], p[j + 1] = p[j + 1], p[j]
     return tuple(p)
@@ -66,9 +71,11 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        assert self.n >= 0
+        if self.n < 0:
+            raise StructureError(f"a braid on {self.n} strands")
         for l in self.letters:
-            assert l != 0 and 1 <= abs(l) <= self.n - 1, (l, self.n)
+            if not 0 < abs(l) < self.n:
+                raise StructureError(f"letter {l} out of range for {self.n} strands")
 
     def __str__(self) -> str:
         return braid_str(self)
@@ -96,28 +103,39 @@ def braid_id(n: int) -> BraidWord:
     return BraidWord(n)
 
 
+def trusted(cls, **fields):
+    """An instance of a frozen dataclass built from parts already known to
+    be valid: __post_init__ does not recheck them. Fields are set one by
+    one, not through __dict__, which would cost the instance its compact
+    shared-key dict."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def braid_compose(u: BraidWord, v: BraidWord) -> BraidWord:
     """u o v, with v applied first."""
-    assert u.n == v.n
-    return BraidWord(u.n, u.letters + v.letters)
+    if u.n != v.n:
+        raise StructureError(f"cannot compose braids on {u.n} and {v.n} strands")
+    return trusted(BraidWord, n=u.n, letters=u.letters + v.letters)
 
 
 def braid_tensor(u: BraidWord, v: BraidWord) -> BraidWord:
     """Disjoint juxtaposition, v on strands shifted past u's."""
-    return BraidWord(
-        u.n + v.n,
-        u.letters + tuple(l + u.n if l > 0 else l - u.n for l in v.letters),
-    )
+    shifted = tuple(l + u.n if l > 0 else l - u.n for l in v.letters)
+    return trusted(BraidWord, n=u.n + v.n, letters=u.letters + shifted)
 
 
 def braid_shift(w: BraidWord, off: int, n: int) -> BraidWord:
     """Reindex w to live on strands off+1..off+w.n inside B_n."""
-    assert off >= 0 and off + w.n <= n
-    return BraidWord(n, tuple(l + off if l > 0 else l - off for l in w.letters))
+    if off < 0 or off + w.n > n:
+        raise StructureError(f"cannot shift a braid on {w.n} strands by {off} inside {n}")
+    return trusted(BraidWord, n=n, letters=tuple(l + off if l > 0 else l - off for l in w.letters))
 
 
 def braid_inverse(w: BraidWord) -> BraidWord:
-    return BraidWord(w.n, tuple(-l for l in reversed(w.letters)))
+    return trusted(BraidWord, n=w.n, letters=tuple(-l for l in reversed(w.letters)))
 
 
 def braid_perm(w: BraidWord) -> Perm:
@@ -170,17 +188,21 @@ def block_braid(m: int, k: int) -> BraidWord:
     return BraidWord(m + k, tuple(letters))
 
 
-def permute_sizes(sizes: list[int], p: Perm) -> list[int]:
-    """Sizes of the blocks after the block at i moves to position p[i]."""
-    out = [0] * len(sizes)
-    for i, s in enumerate(sizes):
-        out[p[i]] = s
+def permute(items: Sequence, p: Perm) -> list:
+    """The items after the one at i moves to position p[i]."""
+    out = list(items)
+    for i, x in enumerate(items):
+        out[p[i]] = x
     return out
+
+
+permute_sizes = permute  # the name for block sizes
 
 
 def cable(w: BraidWord, sizes: list[int]) -> BraidWord:
     """Replace strand i of w by sizes[i] parallel strands."""
-    assert len(sizes) == w.n and all(s >= 0 for s in sizes)
+    if len(sizes) != w.n or any(s < 0 for s in sizes):
+        raise StructureError(f"cannot cable {w.n} strands by sizes {sizes}")
     total = sum(sizes)
     blocks = list(sizes)
     chunks: list[BraidWord] = []  # in application order
@@ -202,8 +224,9 @@ def cable(w: BraidWord, sizes: list[int]) -> BraidWord:
 
 def cable_perm(p: Perm, sizes: list[int]) -> Perm:
     """The permutation of cable(w, sizes) depends on w only through p."""
-    assert len(sizes) == len(p)
-    tgt_sizes = permute_sizes(list(sizes), p)
+    if len(sizes) != len(p):
+        raise StructureError(f"cannot cable {len(p)} strands by sizes {sizes}")
+    tgt_sizes = permute(sizes, p)
     src_off = [0] * len(p)
     tgt_off = [0] * len(p)
     for i in range(1, len(p)):
@@ -327,5 +350,6 @@ def nf_word(nf: BraidNormalForm) -> BraidWord:
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:
-    assert u.n == v.n, "words on different strand counts"
+    if u.n != v.n:
+        raise StructureError("words on different strand counts")
     return normalize_braid(u) == normalize_braid(v)

@@ -29,6 +29,7 @@ from .free_cat import (
     fmor_id,
     fmor_tensor,
 )
+from .ualg import fold
 
 
 class QMor:
@@ -193,18 +194,18 @@ def delta_obj(blocks: Tuple2) -> Obj:
     return concat_blocks(blocks)
 
 
-def delta_eval(t: QMor) -> FreeMor:
-    """Evaluate down to the free algebra: q and its inverse become
-    identities, free nodes flatten."""
+def _delta_leaf(t: QMor) -> FreeMor:
     if isinstance(t, QFree):
         return flatten_mu(t.mor)
     if isinstance(t, (QAdj, QAdjInv, QId)):
         return fmor_id(t.flavor, concat_blocks(t.blocks))
-    if isinstance(t, QCompose):
-        return fmor_compose(delta_eval(t.after), delta_eval(t.first))
-    if isinstance(t, QTensor):
-        return fmor_tensor(delta_eval(t.left), delta_eval(t.right))
     raise TypeError(f"not a classifier term: {t!r}")
+
+
+def delta_eval(t: QMor) -> FreeMor:
+    """Evaluate down to the free algebra: q and its inverse become
+    identities, free nodes flatten."""
+    return fold(t, _delta_leaf, fmor_compose, fmor_tensor, (QCompose, QTensor))
 
 
 def theta_flat_component(blocks: Tuple2, flavor: Flavor) -> QMor:

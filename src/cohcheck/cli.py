@@ -35,25 +35,26 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import click
 
-from .braid_core import BraidWord, braid_perm, braid_str, identity_perm, normalize_braid, perm_braid
+from .braid_core import BraidWord, braid_perm, braid_str, identity_perm, normalize_braid, perm_braid, permute
 from .diagram_check import (
     EQUAL,
     EQUAL_IN_S_ONLY,
     Diagram,
     Edge,
     Goal,
-    check_goal,
     compose_path,
     explain_goal,
     report_json,
     validate_diagram,
 )
 from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
-from .free_cat import Flavor, FreeMor, FreeMor2, GenSet, fmor_id, fmor_of_braid, fmor_of_perm
+from .free_cat import (
+    Flavor, FreeMor, FreeMor2, GenSet, fmor_id, fmor_of_braid, fmor_of_perm, underlying_permutation,
+)
 from .functor_eval import FunctorSpec, compose_specs, make_builtin_spec
 from .ualg import (
     FreeLetter,
@@ -142,6 +143,18 @@ class _Cursor:
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.span)
         return tok
 
+    def names(self, closer: str) -> tuple[str, ...]:
+        """Generator names up to the closer, which is consumed; commas
+        between them are optional."""
+        names = []
+        while self.peek() != closer:
+            if self.peek() == ",":
+                self.next()
+            else:
+                names.append(self.name("a generator").text)
+        self.expect(closer)
+        return tuple(names)
+
     def done(self) -> None:
         if self.i < len(self.tokens):
             tok = self.tokens[self.i]
@@ -203,24 +216,10 @@ def _parse_obj(cur: _Cursor) -> ObjAst:
     while True:
         tok = cur.next()
         if tok.text == "[":
-            names = []
-            while cur.peek() != "]":
-                if cur.peek() == ",":
-                    cur.next()
-                    continue
-                names.append(cur.name("a generator").text)
-            cur.expect("]")
-            items.append(("letters", tuple(names)))
+            items.append(("letters", cur.names("]")))
         elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text) and cur.peek() == "(":
             cur.expect("(")
-            names = []
-            while cur.peek() != ")":
-                if cur.peek() == ",":
-                    cur.next()
-                    continue
-                names.append(cur.name("a generator").text)
-            cur.expect(")")
-            items.append(("block", tok.text, tuple(names)))
+            items.append(("block", tok.text, cur.names(")")))
         else:
             raise ParseError(f"expected an object item, found {tok.text!r}", tok.span)
         if cur.peek() == ";":
@@ -355,14 +354,7 @@ def parse_source(text: str) -> SourceFile:
             declare("gens", name, head.span)
             cur.expect("=")
             cur.expect("{")
-            names = []
-            while cur.peek() != "}":
-                if cur.peek() == ",":
-                    cur.next()
-                    continue
-                names.append(cur.name("a generator").text)
-            cur.expect("}")
-            gens.append((name, tuple(names)))
+            gens.append((name, cur.names("}")))
         elif head.text == "map":
             if objmap is not None:
                 raise ParseError("a file declares a single map", head.span)
@@ -429,14 +421,7 @@ def parse_source(text: str) -> SourceFile:
             declare("interp", name, head.span)
             cur.expect("=")
             cur.expect("[")
-            names = []
-            while cur.peek() != "]":
-                if cur.peek() == ",":
-                    cur.next()
-                    continue
-                names.append(cur.name("a generator").text)
-            cur.expect("]")
-            interps.append((name, tuple(names)))
+            interps.append((name, cur.names("]")))
         elif head.text == "goal":
             name = cur.name("a goal name").text
             declare("goal", name, head.span)
@@ -680,14 +665,14 @@ def _elab_factor(
         labels = _free_labels(chunk, env)
         word = BraidWord(width, f[1])
         u = fmor_of_braid(labels, word) if env.flavor == "B" else fmor_of_perm(labels, braid_perm(word))
-        return UFree(u), _permute_raw(chunk, u)
+        return UFree(u), permute(chunk, underlying_permutation(u))
 
     if f[0] == "perm":
         if env.flavor != "S":
             raise ElabError("perm(..) is only available in the symmetric flavor", env.span)
         chunk = _take(remaining, len(f[1]), "perm", env)
         u = fmor_of_perm(_free_labels(chunk, env), f[1])
-        return UFree(u), _permute_raw(chunk, u)
+        return UFree(u), permute(chunk, underlying_permutation(u))
 
     if f[0] in ("q", "qinv"):
         blocks = f[1]
@@ -753,16 +738,6 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
     return False
 
 
-def _permute_raw(chunk: list[ULetter], u: FreeMor) -> list[ULetter]:
-    from .free_cat import underlying_permutation
-
-    p = underlying_permutation(u)
-    out: list[ULetter] = list(chunk)
-    for i, letter in enumerate(chunk):
-        out[p[i]] = letter
-    return out
-
-
 def _permute_blocks(inners: tuple[FreeMor, ...], outer, env: _Env) -> tuple[tuple[str, ...], ...]:
     if outer is None:
         p = identity_perm(len(inners))
@@ -770,10 +745,7 @@ def _permute_blocks(inners: tuple[FreeMor, ...], outer, env: _Env) -> tuple[tupl
         p = braid_perm(outer)
     else:
         p = outer
-    out: list[tuple[str, ...]] = [()] * len(inners)
-    for i, u in enumerate(inners):
-        out[p[i]] = u.target
-    return tuple(out)
+    return tuple(permute([u.target for u in inners], p))
 
 
 def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, tuple[ULetter, ...]]:

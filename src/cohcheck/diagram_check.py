@@ -15,17 +15,8 @@ from typing import Mapping, Sequence
 
 from .braid_core import Perm, braid_str, normalize_braid, perm_braid, perm_one_line
 from .errors import BoundaryError, StructureError, PathError, UnknownName, UnsupportedOp
-from .free_cat import (
-    Flavor,
-    FreeMor,
-    Gen,
-    Obj,
-    fmor_equal,
-    permutation_shadow,
-    project_generator,
-    underlying_permutation,
-)
-from .functor_eval import FunctorSpec, lambda_eval
+from .free_cat import Flavor, FreeMor, Gen, Obj, permutation_shadow, project_generator
+from .functor_eval import FunctorSpec, check_interp, lambda_eval
 from .ualg import ObjMap, UCompose, UId, UMor, UObj, dissolve, format_uobj, umor_shadow, validate_umor
 
 EQUAL = "equal"
@@ -129,14 +120,35 @@ def compose_path(d: Diagram, path: Sequence[str], at: str | None = None) -> UMor
     return term
 
 
-def check_goal(d: Diagram, goal: Goal) -> Verdict:
-    lv = dissolve(compose_path(d, goal.left), d.phi, d.flavor)
-    rv = dissolve(compose_path(d, goal.right), d.phi, d.flavor)
-    if fmor_equal(lv, rv):
+@dataclass(frozen=True)
+class _Residue:
+    """What is left of a goal side once every constraint is dissolved:
+    the free morphism, its permutation shadow and what equality compares,
+    the normal form in flavor B and the content otherwise."""
+
+    mor: FreeMor
+    shadow: FreeMor
+    key: object
+
+
+def _residue(d: Diagram, term: UMor) -> _Residue:
+    u = dissolve(term, d.phi, d.flavor)
+    return _Residue(u, permutation_shadow(u), normalize_braid(u.content) if d.flavor == "B" else u.content)
+
+
+def _verdict(left: _Residue, right: _Residue) -> Verdict:
+    if left.mor.source != right.mor.source or left.mor.target != right.mor.target:
+        raise BoundaryError("equality of non-parallel morphisms")
+    if left.key == right.key:
         return EQUAL
-    if d.flavor == "B" and underlying_permutation(lv) == underlying_permutation(rv):
+    if left.mor.flavor == "B" and left.shadow == right.shadow:
         return EQUAL_IN_S_ONLY
     return NOT_EQUAL
+
+
+def check_goal(d: Diagram, goal: Goal) -> Verdict:
+    lt, rt = compose_path(d, goal.left), compose_path(d, goal.right)
+    return _verdict(_residue(d, lt), _residue(d, rt))
 
 
 @dataclass(frozen=True)
@@ -157,17 +169,17 @@ class GoalReport:
     projections: dict[Gen, tuple[Perm, Perm]]
 
 
-def _side_report(d: Diagram, path: Sequence[str], u: FreeMor, image: FreeMor | None) -> SideReport:
+def _side_report(d: Diagram, path: Sequence[str], r: _Residue, image: FreeMor | None) -> SideReport:
     if d.flavor == "B":
-        word = braid_str(u.content)
-        nf = str(normalize_braid(u.content))
+        word = braid_str(r.mor.content)
+        nf = str(r.key)
     elif d.flavor == "S":
-        word = braid_str(perm_braid(u.content))
+        word = braid_str(perm_braid(r.mor.content))
         nf = word
     else:
         word = ""
         nf = ""
-    return SideReport(tuple(path), word, nf, underlying_permutation(u), image)
+    return SideReport(tuple(path), word, nf, r.shadow.content, image)
 
 
 def explain_goal(
@@ -177,30 +189,28 @@ def explain_goal(
     interp: Mapping[str, Obj] | None = None,
 ) -> GoalReport:
     """Everything check_goal sees, plus per-generator self-permutations of
-    the permutation shadows and, when a functor is configured, the evaluated
-    composites themselves."""
-    functor = functor if functor is not None else d.functor
-    interp = interp if interp is not None else d.interp
-    lt = compose_path(d, goal.left)
-    rt = compose_path(d, goal.right)
-    lv = dissolve(lt, d.phi, d.flavor)
-    rv = dissolve(rt, d.phi, d.flavor)
+    the permutation shadows and, when the caller passes a functor and an
+    interpretation, the evaluated composites themselves. A functor and
+    interpretation declared in the diagram are only checked."""
+    lt, rt = compose_path(d, goal.left), compose_path(d, goal.right)
+    left, right = _residue(d, lt), _residue(d, rt)
     images: tuple[FreeMor | None, FreeMor | None] = (None, None)
     if functor is not None and interp is not None:
-        images = (
-            lambda_eval(lt, functor, interp, d.phi),
-            lambda_eval(rt, functor, interp, d.phi),
-        )
-    ls, rs = permutation_shadow(lv), permutation_shadow(rv)
+        images = (lambda_eval(lt, functor, interp, d.phi), lambda_eval(rt, functor, interp, d.phi))
+    else:
+        functor = functor if functor is not None else d.functor
+        interp = interp if interp is not None else d.interp
+        if functor is not None and interp is not None:
+            check_interp(functor, interp, d.phi)
     projections = {
-        g: (project_generator(ls, g), project_generator(rs, g))
+        g: (project_generator(left.shadow, g), project_generator(right.shadow, g))
         for g in d.phi.target.names
     }
     return GoalReport(
         goal=goal.name,
-        verdict=check_goal(d, goal),
-        left=_side_report(d, goal.left, lv, images[0]),
-        right=_side_report(d, goal.right, rv, images[1]),
+        verdict=_verdict(left, right),
+        left=_side_report(d, goal.left, left, images[0]),
+        right=_side_report(d, goal.right, right, images[1]),
         projections=projections,
     )
 

@@ -14,7 +14,7 @@ both levels; at depth two the "generators" are themselves tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 from .braid_core import (
     BraidWord,
@@ -33,6 +33,8 @@ from .braid_core import (
     identity_perm,
     inverse_perm,
     is_perm,
+    permute,
+    trusted,
 )
 from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
 
@@ -72,17 +74,18 @@ def unit_embed(gens: GenSet, g: str) -> Obj:
 def _content_perm(flavor: Flavor, content: Content, n: int) -> Perm:
     if flavor == "M":
         return identity_perm(n)
-    if flavor == "S":
-        assert isinstance(content, tuple)
+    if flavor == "S" and isinstance(content, tuple):
         return content
-    assert isinstance(content, BraidWord)
-    return braid_perm(content)
+    if flavor == "B" and isinstance(content, BraidWord):
+        return braid_perm(content)
+    raise StructureError(f"flavor {flavor} content expected, found {content!r}")
 
 
 @dataclass(frozen=True)
 class FreeMor:
-    """A morphism of the free algebra; target is stored redundantly so
-    every constructor revalidates the boundary."""
+    """A morphism of the free algebra; target is stored redundantly, so
+    building one from outside revalidates the boundary. Composites and
+    tensors of valid morphisms are valid and are not rechecked."""
 
     flavor: Flavor
     source: tuple[Label, ...]
@@ -108,33 +111,27 @@ class FreeMor:
             raise StructureError("target word is not the source permuted by the content")
 
 
-def fmor_id(flavor: Flavor, x: tuple[Label, ...]) -> FreeMor:
-    content: Content
+def _by_flavor(flavor: Flavor, on_perms: Callable, on_braids: Callable, *args) -> Content:
+    """The flavor's operation on contents: none in M, on_perms in S,
+    on_braids in B."""
     if flavor == "M":
-        content = None
-    elif flavor == "S":
-        content = identity_perm(len(x))
-    else:
-        content = braid_id(len(x))
-    return FreeMor(flavor, x, x, content)
+        return None
+    return (on_perms if flavor == "S" else on_braids)(*args)
+
+
+def fmor_id(flavor: Flavor, x: tuple[Label, ...]) -> FreeMor:
+    return FreeMor(flavor, x, x, _by_flavor(flavor, identity_perm, braid_id, len(x)))
 
 
 def fmor_of_perm(x: tuple[Label, ...], p: Perm) -> FreeMor:
-    target = [None] * len(x)
-    for i in range(len(x)):
-        target[p[i]] = x[i]
-    return FreeMor("S", x, tuple(target), p)
+    return FreeMor("S", x, tuple(permute(x, p)), p)
 
 
 def fmor_of_braid(x: tuple[Label, ...], w: BraidWord) -> FreeMor:
-    p = braid_perm(w)
-    target = [None] * len(x)
-    for i in range(len(x)):
-        target[p[i]] = x[i]
-    return FreeMor("B", x, tuple(target), w)
+    return FreeMor("B", x, tuple(permute(x, braid_perm(w))), w)
 
 
-def _check_flavors(u: FreeMor, v: FreeMor) -> None:
+def _check_flavors(u: FreeMor | FreeMor2, v: FreeMor | FreeMor2) -> None:
     if u.flavor != v.flavor:
         raise FlavorError(f"cannot combine flavors {u.flavor} and {v.flavor}")
 
@@ -144,14 +141,8 @@ def fmor_compose(u: FreeMor, v: FreeMor) -> FreeMor:
     _check_flavors(u, v)
     if u.source != v.target:
         raise BoundaryError("compose: source of the outer morphism differs from target of the inner")
-    content: Content
-    if u.flavor == "M":
-        content = None
-    elif u.flavor == "S":
-        content = compose_perm(u.content, v.content)
-    else:
-        content = braid_compose(u.content, v.content)
-    return FreeMor(u.flavor, v.source, u.target, content)
+    content = _by_flavor(u.flavor, compose_perm, braid_compose, u.content, v.content)
+    return trusted(FreeMor, flavor=u.flavor, source=v.source, target=u.target, content=content)
 
 
 def _perm_tensor(p: Perm, q: Perm) -> Perm:
@@ -161,37 +152,20 @@ def _perm_tensor(p: Perm, q: Perm) -> Perm:
 
 def fmor_tensor(u: FreeMor, v: FreeMor) -> FreeMor:
     _check_flavors(u, v)
-    content: Content
-    if u.flavor == "M":
-        content = None
-    elif u.flavor == "S":
-        content = _perm_tensor(u.content, v.content)
-    else:
-        content = braid_tensor(u.content, v.content)
-    return FreeMor(u.flavor, u.source + v.source, u.target + v.target, content)
+    content = _by_flavor(u.flavor, _perm_tensor, braid_tensor, u.content, v.content)
+    source, target = u.source + v.source, u.target + v.target
+    return trusted(FreeMor, flavor=u.flavor, source=source, target=target, content=content)
 
 
 def fmor_inverse(u: FreeMor) -> FreeMor:
-    content: Content
-    if u.flavor == "M":
-        content = None
-    elif u.flavor == "S":
-        content = inverse_perm(u.content)
-    else:
-        content = braid_inverse(u.content)
-    return FreeMor(u.flavor, u.target, u.source, content)
+    return FreeMor(u.flavor, u.target, u.source, _by_flavor(u.flavor, inverse_perm, braid_inverse, u.content))
 
 
 def fmor_braiding(x: tuple[Label, ...], y: tuple[Label, ...], flavor: Flavor) -> FreeMor:
     """The block braiding x;y -> y;x (block transposition in flavor S)."""
     if flavor == "M":
         raise UnsupportedOp("flavor M has no braiding")
-    content: Content
-    if flavor == "S":
-        content = block_perm(len(x), len(y))
-    else:
-        content = block_braid(len(x), len(y))
-    return FreeMor(flavor, x + y, y + x, content)
+    return FreeMor(flavor, x + y, y + x, _by_flavor(flavor, block_perm, block_braid, len(x), len(y)))
 
 
 def underlying_permutation(u: FreeMor) -> Perm:
@@ -280,18 +254,11 @@ def fmor2_id(flavor: Flavor, blocks: Tuple2) -> FreeMor2:
 
 def fmor2_compose(u: FreeMor2, v: FreeMor2) -> FreeMor2:
     """u after v; inner i of the composite routes through v's image block."""
-    if u.flavor != v.flavor:
-        raise FlavorError(f"cannot combine flavors {u.flavor} and {v.flavor}")
+    _check_flavors(u, v)
     if u.source != v.target:
         raise BoundaryError("compose: source of the outer morphism differs from target of the inner")
     pv = _content_perm(v.flavor, v.outer, len(v.source))
-    outer: Content
-    if u.flavor == "M":
-        outer = None
-    elif u.flavor == "S":
-        outer = compose_perm(u.outer, v.outer)
-    else:
-        outer = braid_compose(u.outer, v.outer)
+    outer = _by_flavor(u.flavor, compose_perm, braid_compose, u.outer, v.outer)
     inners = tuple(fmor_compose(u.inners[pv[i]], v.inners[i]) for i in range(len(v.source)))
     return FreeMor2(u.flavor, v.source, u.target, outer, inners)
 
@@ -310,15 +277,8 @@ def fmor2_shadow(u: FreeMor2) -> FreeMor2:
 
 
 def fmor2_tensor(u: FreeMor2, v: FreeMor2) -> FreeMor2:
-    if u.flavor != v.flavor:
-        raise FlavorError(f"cannot combine flavors {u.flavor} and {v.flavor}")
-    outer: Content
-    if u.flavor == "M":
-        outer = None
-    elif u.flavor == "S":
-        outer = _perm_tensor(u.outer, v.outer)
-    else:
-        outer = braid_tensor(u.outer, v.outer)
+    _check_flavors(u, v)
+    outer = _by_flavor(u.flavor, _perm_tensor, braid_tensor, u.outer, v.outer)
     return FreeMor2(u.flavor, u.source + v.source, u.target + v.target, outer, u.inners + v.inners)
 
 
@@ -330,13 +290,7 @@ def flatten_mu(u: FreeMor2) -> FreeMor:
     inner_sum = fmor_id(flavor, ())
     for inner in u.inners:
         inner_sum = fmor_tensor(inner_sum, inner)
-    content: Content
-    if flavor == "M":
-        content = None
-    elif flavor == "S":
-        content = cable_perm(u.outer, sizes)
-    else:
-        content = cable(u.outer, sizes)
+    content = _by_flavor(flavor, cable_perm, cable, u.outer, sizes)
     cabled = FreeMor(flavor, inner_sum.target, concat_blocks(u.target), content)
     return fmor_compose(cabled, inner_sum)
 
@@ -344,12 +298,3 @@ def flatten_mu(u: FreeMor2) -> FreeMor:
 def format_obj(x: Obj) -> str:
     return "[" + " ".join(x) + "]"
 
-
-def format_fmor(u: FreeMor) -> str:
-    if u.flavor == "M":
-        word = "id"
-    elif u.flavor == "S":
-        word = "perm(" + " ".join(str(i + 1) for i in u.content) + ")"
-    else:
-        word = str(u.content) if u.content.letters else "id"
-    return f"{format_obj(u.source)} -> {format_obj(u.target)} : {word}"

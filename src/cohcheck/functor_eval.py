@@ -39,17 +39,14 @@ from .ualg import (
     FreeLetter,
     ObjMap,
     UBraiding,
-    UCompose,
     UFree,
-    UId,
     UMor,
     UObj,
     UPhiFree,
     UPhiQ,
     UPhiQInv,
-    UTensor,
+    fold_typed,
     normalize_uobj,
-    validate_umor,
 )
 
 
@@ -259,11 +256,11 @@ def lambda_eval(
 ) -> FreeMor:
     """Evaluate a term in the target algebra of the functor."""
     check_interp(F, interp, phi)
-    validate_umor(t, phi, F.flavor)
-    return _lambda(t, F, interp, phi)
+    leaf = lambda g: _lambda_leaf(g, F, interp, phi)  # noqa: E731
+    return fold_typed(t, phi, F.flavor, leaf, fmor_compose, fmor_tensor)[2]
 
 
-def _lambda(t: UMor, F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap) -> FreeMor:
+def _lambda_leaf(t: UMor, F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap) -> FreeMor:
     flavor = F.flavor
     if isinstance(t, UFree):
         u = t.mor
@@ -290,13 +287,7 @@ def _lambda(t: UMor, F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap) -> 
         x = uobj_lambda(normalize_uobj(t.x, phi), F, interp)
         y = uobj_lambda(normalize_uobj(t.y, phi), F, interp)
         return fmor_braiding(x, y, flavor)
-    if isinstance(t, UId):
-        return fmor_id(flavor, uobj_lambda(normalize_uobj(t.obj, phi), F, interp))
-    if isinstance(t, UCompose):
-        return fmor_compose(_lambda(t.after, F, interp, phi), _lambda(t.first, F, interp, phi))
-    if isinstance(t, UTensor):
-        return fmor_tensor(_lambda(t.left, F, interp, phi), _lambda(t.right, F, interp, phi))
-    raise StructureError(f"not a morphism term: {t!r}")
+    return fmor_id(flavor, uobj_lambda(normalize_uobj(t.obj, phi), F, interp))  # UId
 
 
 def verify_lift(

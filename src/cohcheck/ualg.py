@@ -225,24 +225,60 @@ def phi_tilde(x, role: str, phi: ObjMap):
     raise StructureError(f"unknown role {role!r}")
 
 
-# -- validation ---------------------------------------------------------------
+# -- one fold for every term tree ---------------------------------------------
 
 
-def validate_umor(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj]:
-    """Boundary computation; rejects ill-typed terms naming the subterm."""
-    return _validate(t, phi, flavor, "term")
+class TermFault(Exception):
+    """TermFault(kind, message), raised by a fold callback at a faulty node:
+    the fold raises kind(message) prefixed by the node's path."""
 
 
-def _validate(t: UMor, phi: ObjMap, flavor: Flavor, path: str) -> tuple[UObj, UObj]:
+_PARTS = ((".left", ".right"), (".first", ".after"))
+
+
+def fold(
+    t, leaf: Callable, compose: Callable, tensor: Callable, nodes: tuple[type, type] = (UCompose, UTensor)
+):
+    """Evaluate a term tree bottom-up on an explicit stack, so that depth is
+    bounded by memory, not by the recursion limit. nodes are the compose and
+    tensor node types; every other node is a leaf. compose(after, first) and
+    tensor(left, right) combine the values of the parts, which are evaluated
+    first before after and left before right. The path of a faulty node
+    (term.after.first) is built only when a TermFault is raised."""
+    comp = nodes[0]
+    todo: list[tuple[object, int]] = []  # the ancestors, and which part is under way
+    values: list = []
+    node = t
+    try:
+        while True:
+            while isinstance(node, nodes):
+                todo.append((node, 0))
+                node = node.first if isinstance(node, comp) else node.left
+            values.append(leaf(node))
+            while todo:
+                parent, part = todo.pop()
+                if not part:
+                    todo.append((parent, 1))
+                    node = parent.after if isinstance(parent, comp) else parent.right
+                    break
+                second = values.pop()
+                first = values[-1]
+                values[-1] = compose(second, first) if isinstance(parent, comp) else tensor(first, second)
+            else:
+                return values[0]
+    except TermFault as fault:
+        kind, message = fault.args
+        path = "term" + "".join(_PARTS[isinstance(n, comp)][part] for n, part in todo)
+        raise kind(f"{path}: {message}") from None
+
+
+def _bounds(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj]:
+    """The boundary of a generator term, rejecting one that is ill-typed."""
+    if isinstance(t, (UFree, UPhiFree)) and t.mor.flavor != flavor:
+        raise TermFault(FlavorError, f"flavor {t.mor.flavor} inside a {flavor} term")
     if isinstance(t, UFree):
-        if t.mor.flavor != flavor:
-            raise FlavorError(f"{path}: flavor {t.mor.flavor} inside a {flavor} term")
-        src = free_uobj(t.mor.source, phi)
-        tgt = free_uobj(t.mor.target, phi)
-        return src, tgt
+        return free_uobj(t.mor.source, phi), free_uobj(t.mor.target, phi)
     if isinstance(t, UPhiFree):
-        if t.mor.flavor != flavor:
-            raise FlavorError(f"{path}: flavor {t.mor.flavor} inside a {flavor} term")
         return phi_object(t.mor.source, phi), phi_object(t.mor.target, phi)
     if isinstance(t, UPhiQ):
         return phi_object(t.blocks, phi), phi_object((concat_blocks(t.blocks),), phi)
@@ -250,26 +286,43 @@ def _validate(t: UMor, phi: ObjMap, flavor: Flavor, path: str) -> tuple[UObj, UO
         return phi_object((concat_blocks(t.blocks),), phi), phi_object(t.blocks, phi)
     if isinstance(t, UBraiding):
         if flavor == "M":
-            raise UnsupportedOp(f"{path}: no braiding in flavor M")
+            raise TermFault(UnsupportedOp, "no braiding in flavor M")
         x = normalize_uobj(t.x, phi)
         y = normalize_uobj(t.y, phi)
         return x + y, y + x
     if isinstance(t, UId):
         x = normalize_uobj(t.obj, phi)
         return x, x
-    if isinstance(t, UCompose):
-        s1, t1 = _validate(t.first, phi, flavor, path + ".first")
-        s2, t2 = _validate(t.after, phi, flavor, path + ".after")
-        if s2 != t1:
-            raise BoundaryError(
-                f"{path}: middle boundary mismatch: {format_uobj(t1)} then {format_uobj(s2)}"
+    raise TermFault(StructureError, f"not a morphism term: {t!r}")
+
+
+def fold_typed(t: UMor, phi: ObjMap, flavor: Flavor, leaf: Callable, compose: Callable, tensor: Callable):
+    """Validate and evaluate a term in one pass: (source, target, value),
+    the value folded from leaf, compose and tensor."""
+
+    def after_first(a: tuple, f: tuple) -> tuple:
+        if a[0] != f[1]:
+            raise TermFault(
+                BoundaryError, f"middle boundary mismatch: {format_uobj(f[1])} then {format_uobj(a[0])}"
             )
-        return s1, t2
-    if isinstance(t, UTensor):
-        s1, t1 = _validate(t.left, phi, flavor, path + ".left")
-        s2, t2 = _validate(t.right, phi, flavor, path + ".right")
-        return s1 + s2, t1 + t2
-    raise StructureError(f"{path}: not a morphism term: {t!r}")
+        return f[0], a[1], compose(a[2], f[2])
+
+    return fold(
+        t,
+        lambda g: (*_bounds(g, phi, flavor), leaf(g)),
+        after_first,
+        lambda l, r: (l[0] + r[0], l[1] + r[1], tensor(l[2], r[2])),
+    )
+
+
+def _nothing(*_) -> None:
+    return None
+
+
+def validate_umor(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj]:
+    """Boundary computation; rejects ill-typed terms naming the subterm."""
+    src, tgt, _ = fold_typed(t, phi, flavor, _nothing, _nothing, _nothing)
+    return src, tgt
 
 
 # -- dissolution --------------------------------------------------------------
@@ -284,14 +337,7 @@ def _relabel(u: FreeMor, phi: ObjMap) -> FreeMor:
     )
 
 
-def dissolve(t: UMor, phi: ObjMap, flavor: Flavor) -> FreeMor:
-    """The image in the free algebra on the target generators: adjoined
-    isomorphisms become identities, formed letters are read through phi."""
-    validate_umor(t, phi, flavor)
-    return _dissolve(t, phi, flavor)
-
-
-def _dissolve(t: UMor, phi: ObjMap, flavor: Flavor) -> FreeMor:
+def _dissolve_leaf(t: UMor, phi: ObjMap, flavor: Flavor) -> FreeMor:
     if isinstance(t, UFree):
         return t.mor
     if isinstance(t, UPhiFree):
@@ -303,40 +349,44 @@ def _dissolve(t: UMor, phi: ObjMap, flavor: Flavor) -> FreeMor:
         x = uobj_dissolve(normalize_uobj(t.x, phi), phi)
         y = uobj_dissolve(normalize_uobj(t.y, phi), phi)
         return fmor_braiding(x, y, flavor)
-    if isinstance(t, UId):
-        return fmor_id(flavor, uobj_dissolve(normalize_uobj(t.obj, phi), phi))
-    if isinstance(t, UCompose):
-        return fmor_compose(_dissolve(t.after, phi, flavor), _dissolve(t.first, phi, flavor))
-    if isinstance(t, UTensor):
-        return fmor_tensor(_dissolve(t.left, phi, flavor), _dissolve(t.right, phi, flavor))
-    raise StructureError(f"not a morphism term: {t!r}")
+    return fmor_id(flavor, uobj_dissolve(normalize_uobj(t.obj, phi), phi))  # UId
 
 
-def umor_shadow(t: UMor) -> UMor:
-    """Forget braid data down to permutations, sending a braided term to
-    the symmetric term with the same shape."""
+def _dissolution(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj, FreeMor]:
+    return fold_typed(t, phi, flavor, lambda g: _dissolve_leaf(g, phi, flavor), fmor_compose, fmor_tensor)
+
+
+def dissolve(t: UMor, phi: ObjMap, flavor: Flavor) -> FreeMor:
+    """The image in the free algebra on the target generators: adjoined
+    isomorphisms become identities, formed letters are read through phi."""
+    return _dissolution(t, phi, flavor)[2]
+
+
+def _shadow_leaf(t: UMor) -> UMor:
     if isinstance(t, UFree):
         return UFree(permutation_shadow(t.mor))
     if isinstance(t, UPhiFree):
         return UPhiFree(fmor2_shadow(t.mor))
     if isinstance(t, (UPhiQ, UPhiQInv, UBraiding, UId)):
         return t
-    if isinstance(t, UCompose):
-        return UCompose(umor_shadow(t.after), umor_shadow(t.first))
-    if isinstance(t, UTensor):
-        return UTensor(umor_shadow(t.left), umor_shadow(t.right))
     raise StructureError(f"not a morphism term: {t!r}")
 
 
+def umor_shadow(t: UMor) -> UMor:
+    """Forget braid data down to permutations, sending a braided term to
+    the symmetric term with the same shape."""
+    return fold(t, _shadow_leaf, UCompose, UTensor)
+
+
 def umor_equal(s: UMor, t: UMor, phi: ObjMap, flavor: Flavor) -> bool:
-    ss, st = validate_umor(s, phi, flavor)
-    ts, tt = validate_umor(t, phi, flavor)
+    ss, st, su = _dissolution(s, phi, flavor)
+    ts, tt, tu = _dissolution(t, phi, flavor)
     if (ss, st) != (ts, tt):
         raise BoundaryError(
             f"equality of non-parallel terms: {format_uobj(ss)} -> {format_uobj(st)}"
             f" vs {format_uobj(ts)} -> {format_uobj(tt)}"
         )
-    return fmor_equal(_dissolve(s, phi, flavor), _dissolve(t, phi, flavor))
+    return fmor_equal(su, tu)
 
 
 # -- counting invariants ------------------------------------------------------
@@ -368,14 +418,6 @@ def is_tidy(x: UObj, unit_gens: Iterable[str]) -> bool:
     )
 
 
-def _contains_compose(t: UMor) -> bool:
-    if isinstance(t, UCompose):
-        return True
-    if isinstance(t, UTensor):
-        return _contains_compose(t.left) or _contains_compose(t.right)
-    return False
-
-
 def is_tidy_composite(
     ts: Sequence[UMor], phi: ObjMap, flavor: Flavor, unit_gens: Iterable[str]
 ) -> bool:
@@ -385,6 +427,6 @@ def is_tidy_composite(
         src, tgt = validate_umor(t, phi, flavor)
         if not (is_tidy(src, units) and is_tidy(tgt, units)):
             return False
-        if _contains_compose(t):
+        if fold(t, lambda g: False, lambda a, f: True, lambda l, r: l or r):  # a composite inside
             return False
     return True

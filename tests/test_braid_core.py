@@ -27,6 +27,7 @@ from cohcheck.braid_core import (
     perm_one_line,
     permute_sizes,
 )
+from cohcheck.errors import StructureError
 
 import braid_oracle
 
@@ -111,6 +112,12 @@ def test_parse_round_trip() -> None:
 def test_parse_rejects(text: str) -> None:
     with pytest.raises(ValueError):
         parse_braid(text, 3)
+
+
+def test_letter_out_of_range_raises_structure_error() -> None:
+    # a CohError, not an assert, so that the check survives python -O
+    with pytest.raises(StructureError):
+        BraidWord(3, (3,))
 
 
 @given(braid_words())

@@ -316,6 +316,49 @@ def test_check_parse_error_exits_2(tmp_path):
     assert "error" in r.stderr
 
 
+def test_check_interp_disagreeing_with_functor_exits_2(tmp_path):
+    bad = tmp_path / "interp.coh"
+    bad.write_text(fixture_text("cursed_lift.coh").replace("interp hb = [b b b b]", "interp hb = [b b]"))
+    r = run("check", str(bad))
+    assert r.exit_code == 2
+    assert "disagrees with the functor" in json.loads(r.stdout)["error"]
+    assert "error" in r.stderr
+
+
+def _check_says_equal(path: Path) -> None:
+    r = run("check", str(path))
+    assert r.exception is None
+    assert r.exit_code == 0
+    assert [g["verdict"] for g in json.loads(r.stdout)] == [EQUAL]
+    assert "Traceback" not in r.output
+
+
+def test_check_deep_goal_path(tmp_path):
+    # 1,500 edges in one goal side: deeper than the recursion limit
+    copies = 1500
+    deep = tmp_path / "deep_path.coh"
+    deep.write_text(_tiny(
+        "node n = [fa fa]\n"
+        "edge e : n -> n = s1\n"
+        "edge f : n -> n = " + " ".join(["s1"] * copies) + "\n"
+        "goal deep : " + " . ".join(["e"] * copies) + " == f\n"
+    ))
+    _check_says_equal(deep)
+
+
+def test_check_deep_edge(tmp_path):
+    # one edge of 1,200 composed one-letter rows on 3 strands
+    word = [("s1", "s2", "s1^-1", "s2", "s2^-1")[i % 5] for i in range(1200)]
+    deep = tmp_path / "deep_edge.coh"
+    deep.write_text(_tiny(
+        "node n = [fa fa fa]\n"
+        "edge e : n -> n = " + " . ".join(word) + "\n"
+        "edge f : n -> n = " + " ".join(word) + "\n"
+        "goal deep : e == f\n"
+    ))
+    _check_says_equal(deep)
+
+
 def test_check_verdict_lines_go_to_stderr():
     r = run("check", str(FIXTURES / "mystery3.coh"))
     assert "goal natb: equal_in_s_only" in r.stderr

@@ -217,10 +217,15 @@ def test_projection_functorial(data):
 @given(st.data())
 def test_identity_laws(data):
     u = data.draw(fmors())
-    assert fmor_compose(fmor_id(u.flavor, u.target), u) == u
-    assert fmor_compose(u, fmor_id(u.flavor, u.source)) == u
-    assert fmor_tensor(u, fmor_id(u.flavor, ())) == u
-    assert fmor_tensor(fmor_id(u.flavor, ()), u) == u
+    for r in (
+        fmor_compose(fmor_id(u.flavor, u.target), u),
+        fmor_compose(u, fmor_id(u.flavor, u.source)),
+        fmor_tensor(u, fmor_id(u.flavor, ())),
+        fmor_tensor(fmor_id(u.flavor, ()), u),
+    ):
+        assert r == u
+        # composites and tensors are not rechecked when built; they must pass
+        assert FreeMor(r.flavor, r.source, r.target, r.content) == r
 
 
 @given(st.data())
@@ -233,6 +238,8 @@ def test_interchange(data):
     lhs = fmor_compose(fmor_tensor(u, uu), fmor_tensor(v, vv))
     rhs = fmor_tensor(fmor_compose(u, v), fmor_compose(uu, vv))
     assert fmor_equal(lhs, rhs)
+    for r in (fmor_tensor(u, uu), fmor_tensor(v, vv), lhs, fmor_compose(u, v), fmor_compose(uu, vv), rhs):
+        assert FreeMor(r.flavor, r.source, r.target, r.content) == r
 
 
 @given(st.data())
