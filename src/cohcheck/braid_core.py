@@ -196,9 +196,6 @@ def permute(items: Sequence, p: Perm) -> list:
     return out
 
 
-permute_sizes = permute  # the name for block sizes
-
-
 def cable(w: BraidWord, sizes: list[int]) -> BraidWord:
     """Replace strand i of w by sizes[i] parallel strands."""
     if len(sizes) != w.n or any(s < 0 for s in sizes):

@@ -977,7 +977,7 @@ def braid_eq(w1: str, w2: str, strands: int) -> None:
     try:
         u = parse_braid(w1, strands)
         v = parse_braid(w2, strands)
-    except ValueError as err:
+    except (CohError, ValueError) as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(2)
     if braid_equal(u, v):

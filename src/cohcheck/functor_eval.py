@@ -102,19 +102,16 @@ def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> Fun
             out = fmor_tensor(out, u)
         return out
 
-    if n == 1:
-        f2 = lambda x, y: fmor_id(flavor, x + y)
-    else:
-        prev = _nfold(n - 1, gens, flavor)
-
-        def f2(x: Obj, y: Obj) -> FreeMor:
+    def f2(x: Obj, y: Obj) -> FreeMor:
+        out = fmor_id(flavor, x + y)
+        for k in range(2, n + 1):
             # pull the last copy of x through the earlier copies of y
             inner = fmor_tensor(
-                fmor_id(flavor, x * (n - 1)),
-                fmor_tensor(fmor_braiding(x, y * (n - 1), flavor), fmor_id(flavor, y)),
+                fmor_id(flavor, x * (k - 1)),
+                fmor_tensor(fmor_braiding(x, y * (k - 1), flavor), fmor_id(flavor, y)),
             )
-            outer = fmor_tensor(prev.f2(x, y), fmor_id(flavor, x + y))
-            return fmor_compose(outer, inner)
+            out = fmor_compose(fmor_tensor(out, fmor_id(flavor, x + y)), inner)
+        return out
 
     return FunctorSpec(
         flavor,

@@ -21,6 +21,12 @@ by dissolution: every adjoined isomorphism becomes an identity and every
 formed letter is read through phi, landing in the free algebra on the
 target generators where the word problem is decidable. Dissolution is
 faithful here, so the answer is exact, not conservative.
+
+Over identity_obj_map this algebra is the classifier of the generator set:
+the constraint-adjoining construction, whose evaluation dissolves every
+adjoined isomorphism to an identity. Its two sections send a free morphism
+to one formed letter moving to another (zeta) and to an outer move of
+one-letter blocks (zeta_flat); dissolving either gives the morphism back.
 """
 
 from __future__ import annotations
@@ -203,26 +209,24 @@ def kappa_embed(u: FreeMor) -> UMor:
     return UFree(u)
 
 
-def phi_tilde(x, role: str, phi: ObjMap):
-    """The components of the universal map out of the source algebra.
+# -- the two sections ----------------------------------------------------------
 
-    role "object": x a source word, giving one formed letter (normalized).
-    role "morphism": x a source FreeMor, giving a one-block image.
-    role "unit-constraint": the adjoined isomorphism at no blocks.
-    role "monoidal-constraint": x a pair of source words (w1, w2).
-    """
-    if role == "object":
-        return normalize_uobj((PhiLetter(tuple(x)),), phi)
-    if role == "morphism":
-        u: FreeMor = x
-        outer = None if u.flavor == "M" else (0,) if u.flavor == "S" else braid_id(1)
-        return UPhiFree(FreeMor2(u.flavor, (u.source,), (u.target,), outer, (u,)))
-    if role == "unit-constraint":
-        return UPhiQ(())
-    if role == "monoidal-constraint":
-        w1, w2 = x
-        return UPhiQ((tuple(w1), tuple(w2)))
-    raise StructureError(f"unknown role {role!r}")
+
+def zeta(u: FreeMor) -> UPhiFree:
+    """The image of a source free morphism under the universal map: one
+    formed letter moving to another, from phi_object((u.source,), phi) to
+    phi_object((u.target,), phi)."""
+    outer = None if u.flavor == "M" else (0,) if u.flavor == "S" else braid_id(1)
+    return UPhiFree(FreeMor2(u.flavor, (u.source,), (u.target,), outer, (u,)))
+
+
+def zeta_flat(u: FreeMor) -> UPhiFree:
+    """A source free morphism as an outer move of one-letter blocks: each
+    letter of u is a block of its own, and u moves the blocks."""
+    inners = tuple(fmor_id(u.flavor, (g,)) for g in u.source)
+    source = tuple((g,) for g in u.source)
+    target = tuple((g,) for g in u.target)
+    return UPhiFree(FreeMor2(u.flavor, source, target, u.content, inners))
 
 
 # -- one fold for every term tree ---------------------------------------------
@@ -236,39 +240,36 @@ class TermFault(Exception):
 _PARTS = ((".left", ".right"), (".first", ".after"))
 
 
-def fold(
-    t, leaf: Callable, compose: Callable, tensor: Callable, nodes: tuple[type, type] = (UCompose, UTensor)
-):
+def fold(t: UMor, leaf: Callable, compose: Callable, tensor: Callable):
     """Evaluate a term tree bottom-up on an explicit stack, so that depth is
-    bounded by memory, not by the recursion limit. nodes are the compose and
-    tensor node types; every other node is a leaf. compose(after, first) and
-    tensor(left, right) combine the values of the parts, which are evaluated
-    first before after and left before right. The path of a faulty node
-    (term.after.first) is built only when a TermFault is raised."""
-    comp = nodes[0]
+    bounded by memory, not by the recursion limit. Every node but UCompose
+    and UTensor is a leaf. compose(after, first) and tensor(left, right)
+    combine the values of the parts, which are evaluated first before after
+    and left before right. The path of a faulty node (term.after.first) is
+    built only when a TermFault is raised."""
     todo: list[tuple[object, int]] = []  # the ancestors, and which part is under way
     values: list = []
     node = t
     try:
         while True:
-            while isinstance(node, nodes):
+            while isinstance(node, (UCompose, UTensor)):
                 todo.append((node, 0))
-                node = node.first if isinstance(node, comp) else node.left
+                node = node.first if isinstance(node, UCompose) else node.left
             values.append(leaf(node))
             while todo:
                 parent, part = todo.pop()
                 if not part:
                     todo.append((parent, 1))
-                    node = parent.after if isinstance(parent, comp) else parent.right
+                    node = parent.after if isinstance(parent, UCompose) else parent.right
                     break
                 second = values.pop()
                 first = values[-1]
-                values[-1] = compose(second, first) if isinstance(parent, comp) else tensor(first, second)
+                values[-1] = compose(second, first) if isinstance(parent, UCompose) else tensor(first, second)
             else:
                 return values[0]
     except TermFault as fault:
         kind, message = fault.args
-        path = "term" + "".join(_PARTS[isinstance(n, comp)][part] for n, part in todo)
+        path = "term" + "".join(_PARTS[isinstance(n, UCompose)][part] for n, part in todo)
         raise kind(f"{path}: {message}") from None
 
 

@@ -17,7 +17,7 @@ from cohcheck.ualg import (
     identity_obj_map,
     kappa_embed,
     normalize_uobj,
-    phi_tilde,
+    zeta,
 )
 
 AB = GenSet("AB", ("a", "b"))
@@ -49,8 +49,8 @@ def hexagon_diagram() -> Diagram:
         "e2": Edge("e2", "s2", "s3", UBraiding((PhiLetter(("a", "a")),), (FreeLetter("fa"),))),
         "e3": Edge("e3", "s3", "s4", UPhiQ((("a",), ("a", "a")))),
         "e4": Edge("e4", "s1", "t2", UPhiQ((("a",), ("a",), ("a",)))),
-        "e5": Edge("e5", "t2", "t3", phi_tilde(s2w, "morphism", phi)),
-        "e6": Edge("e6", "t3", "s4", phi_tilde(s1w, "morphism", phi)),
+        "e5": Edge("e5", "t2", "t3", zeta(s2w)),
+        "e6": Edge("e6", "t3", "s4", zeta(s1w)),
     }
     goals = (Goal("hex", ("e3", "e2", "e1"), ("e6", "e5", "e4")),)
     return Diagram("B", phi, nodes, edges, goals)
@@ -81,7 +81,7 @@ def naturality_diagram() -> Diagram:
         "e3": Edge("e3", "s3", "s4", UPhiQ((("a", "c"), ("b", "d")))),
         "e4": Edge("e4", "s1", "t1", UTensor(UPhiQ((("a",), ("b",))), UPhiQ((("c",), ("d",))))),
         "e5": Edge("e5", "t1", "t2", UPhiQ((("a", "b"), ("c", "d")))),
-        "e6": Edge("e6", "t2", "s4", phi_tilde(mid, "morphism", phi)),
+        "e6": Edge("e6", "t2", "s4", zeta(mid)),
     }
     goals = (Goal("natm", ("e3", "e2", "e1"), ("e6", "e5", "e4")),)
     return Diagram("B", phi, nodes, edges, goals)

@@ -25,7 +25,7 @@ from cohcheck.braid_core import (
     parse_braid,
     perm_braid,
     perm_one_line,
-    permute_sizes,
+    permute,
 )
 from cohcheck.errors import StructureError
 
@@ -337,7 +337,7 @@ def test_cable_functorial(
         st.lists(st.integers(0, 3), min_size=u.n, max_size=u.n)
     )
     whole = cable(braid_compose(u, v), sizes)
-    upper = cable(u, permute_sizes(sizes, braid_perm(v)))
+    upper = cable(u, permute(sizes, braid_perm(v)))
     lower = cable(v, sizes)
     assert whole == braid_compose(upper, lower)
 
@@ -346,7 +346,7 @@ def test_cable_functorial(
 def test_permute_sizes_shape(p: list[int], sizes: list[int]) -> None:
     p5 = tuple(p)
     padded = (sizes + [1] * 5)[:5]
-    out = permute_sizes(padded, p5)
+    out = permute(padded, p5)
     assert sorted(out) == sorted(padded)
     assert all(out[p5[i]] == padded[i] for i in range(5))
 

@@ -1,105 +1,138 @@
+"""The classifier of a generator set: the universal algebra over its
+identity map, in which every adjoined isomorphism dissolves to an identity.
+"""
+
 from __future__ import annotations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cohcheck.classifier import (
-    QAdj,
-    QAdjInv,
-    QCompose,
-    QFree,
-    QId,
-    QMor,
-    QTensor,
-    delta_eval,
-    delta_obj,
-    qmor_equal,
-    theta_flat_component,
+from cohcheck.errors import BoundaryError, FlavorError
+from cohcheck.free_cat import (
+    GenSet,
+    Tuple2,
+    concat_blocks,
+    flatten_mu,
+    fmor_compose,
+    fmor_equal,
+    fmor_id,
+    fmor_of_perm,
+)
+from cohcheck.ualg import (
+    FreeLetter,
+    PhiLetter,
+    UCompose,
+    UId,
+    UMor,
+    UObj,
+    UPhiFree,
+    UPhiQ,
+    UPhiQInv,
+    UTensor,
+    dissolve,
+    identity_obj_map,
+    phi_object,
+    umor_equal,
+    uobj_dissolve,
+    validate_umor,
     zeta,
     zeta_flat,
-    zeta_flat_obj,
-    zeta_obj,
 )
-from cohcheck.errors import BoundaryError, FlavorError
-from cohcheck.free_cat import concat_blocks, flatten_mu, fmor_compose, fmor_equal, fmor_id
 
-from strategies import fmor2s, fmors, objects, partitions
+from strategies import LABELS, fmor2s, fmors, objects, partitions
+
+PHI = identity_obj_map(GenSet("AB", LABELS))
+
+
+def blocks_of(x: UObj) -> Tuple2:
+    """The words that the letters of a normalized object stand for."""
+    return tuple((l.name,) if isinstance(l, FreeLetter) else l.word for l in x)
+
+
+def theta_flat(blocks: Tuple2) -> UMor:
+    """The canonical map from the one-letter regrouping of the underlying
+    word back to the given grouping."""
+    singles = tuple((g,) for g in concat_blocks(blocks))
+    return UCompose(UPhiQInv(blocks), UPhiQ(singles))
 
 
 @st.composite
-def qmors(draw, flavor=None) -> QMor:
-    """A random composable chain of classifier generators."""
-    if flavor is None:
-        flavor = draw(st.sampled_from(("M", "S", "B")))
+def classifier_terms(draw) -> tuple[str, UMor]:
+    """A flavor and a random composable chain of classifier generators."""
+    flavor = draw(st.sampled_from(("M", "S", "B")))
     m = draw(st.integers(0, 3))
-    blocks = tuple(draw(objects(max_len=3)) for _ in range(m))
-    term: QMor = QId(flavor, blocks)
+    term: UMor = UId(phi_object(tuple(draw(objects(max_len=3)) for _ in range(m)), PHI))
     for _ in range(draw(st.integers(0, 4))):
-        t = term.target
+        t = blocks_of(validate_umor(term, PHI, flavor)[1])
         kind = draw(st.sampled_from(("free", "adj", "adjinv", "id")))
         if kind == "free":
-            nxt: QMor = QFree(draw(fmor2s(flavor=flavor, source=t)))
+            nxt: UMor = UPhiFree(draw(fmor2s(flavor=flavor, source=t)))
         elif kind == "adjinv" and len(t) == 1:
-            nxt = QAdjInv(flavor, draw(partitions(t[0])))
+            nxt = UPhiQInv(draw(partitions(t[0])))
         elif kind == "adj":
-            nxt = QAdj(flavor, t)
+            nxt = UPhiQ(t)
         else:
-            nxt = QId(flavor, t)
-        term = QCompose(nxt, term)
-    return term
+            nxt = UId(phi_object(t, PHI))
+        term = UCompose(nxt, term)
+    return flavor, term
 
 
 # -- units and boundaries -----------------------------------------------------
 
 
 def test_unit_objects():
-    assert zeta_obj(("a", "b")) == (("a", "b"),)
-    assert zeta_flat_obj(("a", "b")) == (("a",), ("b",))
-    assert zeta_flat_obj(()) == ()
-    assert delta_obj((("a",), (), ("b", "a"))) == ("a", "b", "a")
+    assert phi_object((("a", "b"),), PHI) == (PhiLetter(("a", "b")),)
+    assert phi_object((("a",), ("b",)), PHI) == (FreeLetter("a"), FreeLetter("b"))
+    assert phi_object((), PHI) == ()
+    assert uobj_dissolve(phi_object((("a",), (), ("b", "a")), PHI), PHI) == ("a", "b", "a")
+    swap = fmor_of_perm(("a", "b"), (1, 0))
+    assert validate_umor(zeta(swap), PHI, "S") == ((PhiLetter(("a", "b")),), (PhiLetter(("b", "a")),))
+    assert validate_umor(zeta_flat(swap), PHI, "S") == (
+        (FreeLetter("a"), FreeLetter("b")),
+        (FreeLetter("b"), FreeLetter("a")),
+    )
 
 
 def test_adjoined_boundary():
-    q = QAdj("S", (("a",), ("b",)))
-    assert q.source == (("a",), ("b",))
-    assert q.target == (("a", "b"),)
-    qi = QAdjInv("S", (("a",), ("b",)))
-    assert qi.source == (("a", "b"),)
-    assert qi.target == (("a",), ("b",))
+    singles = (FreeLetter("a"), FreeLetter("b"))
+    merged = (PhiLetter(("a", "b")),)
+    assert validate_umor(UPhiQ((("a",), ("b",))), PHI, "S") == (singles, merged)
+    assert validate_umor(UPhiQInv((("a",), ("b",))), PHI, "S") == (merged, singles)
 
 
 def test_compose_validates_boundary():
-    with pytest.raises(BoundaryError):
-        QCompose(QId("S", (("a",),)), QId("S", (("b",),)))
-    with pytest.raises(FlavorError):
-        QCompose(QId("S", (("a",),)), QId("B", (("a",),)))
+    with pytest.raises(BoundaryError, match="^term: middle boundary mismatch"):
+        validate_umor(UCompose(UId((FreeLetter("a"),)), UId((FreeLetter("b"),))), PHI, "S")
+    braided = zeta(fmor_id("B", ("a",)))
+    with pytest.raises(FlavorError, match="^term.first: flavor B inside a S term"):
+        validate_umor(UCompose(UId((FreeLetter("a"),)), braided), PHI, "S")
 
 
 def test_equal_needs_parallel():
     with pytest.raises(BoundaryError):
-        qmor_equal(QId("S", (("a",),)), QId("S", (("b",),)))
+        umor_equal(UId((FreeLetter("a"),)), UId((FreeLetter("b"),)), PHI, "S")
     with pytest.raises(FlavorError):
-        qmor_equal(QId("S", ()), QId("B", ()))
+        umor_equal(zeta(fmor_id("B", ())), UId(()), PHI, "S")
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
 def test_adjoined_evaluates_to_identity():
-    q = QAdj("B", (("a", "a"), ("b",)))
-    assert delta_eval(q) == fmor_id("B", ("a", "a", "b"))
-    assert delta_eval(QAdjInv("B", (("a", "a"), ("b",)))) == fmor_id("B", ("a", "a", "b"))
+    blocks = (("a", "a"), ("b",))
+    assert dissolve(UPhiQ(blocks), PHI, "B") == fmor_id("B", ("a", "a", "b"))
+    assert dissolve(UPhiQInv(blocks), PHI, "B") == fmor_id("B", ("a", "a", "b"))
 
 
 @given(fmors())
 def test_triangle_one_block(u):
-    assert delta_eval(zeta(u)) == u
+    assert dissolve(zeta(u), PHI, u.flavor) == u
 
 
 @given(fmors())
 def test_triangle_singletons(u):
-    assert delta_eval(zeta_flat(u)) == u
+    assert dissolve(zeta_flat(u), PHI, u.flavor) == u
 
 
 # -- defining relations -------------------------------------------------------
@@ -109,10 +142,9 @@ def test_triangle_singletons(u):
 def test_adjoined_natural(data):
     # gluing commutes with free morphisms of the block algebra
     u2 = data.draw(fmor2s())
-    fl = u2.flavor
-    left = QCompose(QAdj(fl, u2.target), QFree(u2))
-    right = QCompose(zeta(flatten_mu(u2)), QAdj(fl, u2.source))
-    assert qmor_equal(left, right)
+    left = UCompose(UPhiQ(u2.target), UPhiFree(u2))
+    right = UCompose(zeta(flatten_mu(u2)), UPhiQ(u2.source))
+    assert umor_equal(left, right, PHI, u2.flavor)
 
 
 @given(st.data())
@@ -123,57 +155,55 @@ def test_adjoined_associative(data):
     w2 = data.draw(objects(max_len=4))
     b1 = data.draw(partitions(w1))
     b2 = data.draw(partitions(w2))
-    left = QCompose(QAdj(fl, (w1, w2)), QTensor(QAdj(fl, b1), QAdj(fl, b2)))
-    right = QAdj(fl, b1 + b2)
-    assert qmor_equal(left, right)
+    left = UCompose(UPhiQ((w1, w2)), UTensor(UPhiQ(b1), UPhiQ(b2)))
+    right = UPhiQ(b1 + b2)
+    assert umor_equal(left, right, PHI, fl)
 
 
 def test_adjoined_normalized():
     # at a one-block tuple the adjoined isomorphism is an identity
     for fl in ("M", "S", "B"):
         w = ("a", "b", "a")
-        assert qmor_equal(QAdj(fl, (w,)), QId(fl, (w,)))
+        assert umor_equal(UPhiQ((w,)), UId(phi_object((w,), PHI)), PHI, fl)
 
 
 @given(st.data())
 def test_adjoined_invertible(data):
     fl = data.draw(st.sampled_from(("M", "S", "B")))
     blocks = data.draw(partitions(data.draw(objects())))
-    q = QAdj(fl, blocks)
-    qi = QAdjInv(fl, blocks)
-    assert qmor_equal(QCompose(q, qi), QId(fl, (concat_blocks(blocks),)))
-    assert qmor_equal(QCompose(qi, q), QId(fl, blocks))
+    q = UPhiQ(blocks)
+    qi = UPhiQInv(blocks)
+    assert umor_equal(UCompose(q, qi), UId(phi_object((concat_blocks(blocks),), PHI)), PHI, fl)
+    assert umor_equal(UCompose(qi, q), UId(phi_object(blocks, PHI)), PHI, fl)
 
 
-# -- the singleton-regrouping map ---------------------------------------------
+# -- the one-letter regrouping map ----------------------------------------------
 
 
 def test_regroup_at_singletons():
-    th = theta_flat_component((("a",), ("b",)), "B")
-    assert fmor_equal(delta_eval(th), fmor_id("B", ("a", "b")))
+    th = theta_flat((("a",), ("b",)))
+    assert fmor_equal(dissolve(th, PHI, "B"), fmor_id("B", ("a", "b")))
 
 
 def test_regroup_at_merged_block():
-    th = theta_flat_component((("a", "b"),), "S")
-    assert delta_eval(th) == fmor_id("S", ("a", "b"))
+    assert dissolve(theta_flat((("a", "b"),)), PHI, "S") == fmor_id("S", ("a", "b"))
 
 
 def test_regroup_empty():
-    th = theta_flat_component((), "M")
-    assert delta_eval(th) == fmor_id("M", ())
+    assert dissolve(theta_flat(()), PHI, "M") == fmor_id("M", ())
 
 
-@given(st.data())
-def test_regroup_natural(data):
-    u = data.draw(qmors())
-    fl = u.flavor
-    left = QCompose(u, theta_flat_component(u.source, fl))
-    right = QCompose(theta_flat_component(u.target, fl), zeta_flat(delta_eval(u)))
-    assert qmor_equal(left, right)
+@given(classifier_terms())
+def test_regroup_natural(flavored):
+    fl, u = flavored
+    src, tgt = validate_umor(u, PHI, fl)
+    left = UCompose(u, theta_flat(blocks_of(src)))
+    right = UCompose(theta_flat(blocks_of(tgt)), zeta_flat(dissolve(u, PHI, fl)))
+    assert umor_equal(left, right, PHI, fl)
 
 
-@given(st.data())
-def test_evaluation_functorial(data):
-    v = data.draw(qmors())
-    u = QAdj(v.flavor, v.target)
-    assert delta_eval(QCompose(u, v)) == fmor_compose(delta_eval(u), delta_eval(v))
+@given(classifier_terms())
+def test_evaluation_functorial(flavored):
+    fl, v = flavored
+    u = UPhiQ(blocks_of(validate_umor(v, PHI, fl)[1]))
+    assert dissolve(UCompose(u, v), PHI, fl) == fmor_compose(dissolve(u, PHI, fl), dissolve(v, PHI, fl))

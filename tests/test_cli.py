@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cohcheck
 from cohcheck.braid_core import BraidWord, braid_equal, parse_braid
 from cohcheck.cli import (
     SourceFile,
@@ -21,6 +25,8 @@ from cohcheck.ualg import dissolve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS = sorted(p.name for p in FIXTURES.glob("*.coh"))
+# stdout and exit status of `coh check FILE` and `coh dissolve FILE` on the corpus
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_text(encoding="utf-8"))
 
 
 def fixture_text(name: str) -> str:
@@ -301,6 +307,13 @@ def test_check_exit_codes(name):
     assert with_flag.exit_code == (1 if verdict == NOT_EQUAL else 0)
 
 
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_cli_output_frozen(key):
+    command, name = key.split()
+    r = run(command, str(FIXTURES / name))
+    assert {"stdout": r.stdout, "exit": r.exit_code} == GOLDEN[key]
+
+
 def test_check_json_file(tmp_path):
     out = tmp_path / "verdicts.json"
     r = run("check", str(FIXTURES / "mystery2.coh"), "--json", str(out))
@@ -394,6 +407,27 @@ def test_braid_eq_unequal():
 def test_braid_eq_bad_letter():
     r = run("braid-eq", "s9", "s1", "--strands", "4")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [
+        (["braid-eq", "", "", "--strands", "-1"], 2),
+        (["check", "nfold5000.coh"], 0),
+    ],
+    ids=["braid-eq-negative-strands", "check-nfold-5000"],
+)
+def test_exit_contract(tmp_path, args, status):
+    # a copying functor of 5,000 copies, on a file without interpretations
+    text = fixture_text("cursed_lift.coh").split("interp")[0].replace("nfold(4)", "nfold(5000)")
+    (tmp_path / "nfold5000.coh").write_text(text, encoding="utf-8")
+    src = str(Path(cohcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    r = subprocess.run(
+        [sys.executable, "-m", "cohcheck.cli", *args], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert r.returncode == status
+    assert "Traceback" not in r.stderr
 
 
 def test_render_unknown_edge():

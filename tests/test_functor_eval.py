@@ -30,7 +30,7 @@ from cohcheck.ualg import (
     UTensor,
     dissolve,
     identity_obj_map,
-    phi_tilde,
+    zeta,
 )
 
 from strategies import fmors
@@ -202,8 +202,8 @@ def _hexagon_lift():
     e3 = UPhiQ((("a",), ("a", "a")))
     left = UCompose(e3, UCompose(e2, e1))
     e4 = UPhiQ((("a",), ("a",), ("a",)))
-    e5 = phi_tilde(fmor_of_braid(("a", "a", "a"), parse_braid("s2", 3)), "morphism", PHI_A)
-    e6 = phi_tilde(fmor_of_braid(("a", "a", "a"), parse_braid("s1", 3)), "morphism", PHI_A)
+    e5 = zeta(fmor_of_braid(("a", "a", "a"), parse_braid("s2", 3)))
+    e6 = zeta(fmor_of_braid(("a", "a", "a"), parse_braid("s1", 3)))
     right = UCompose(e6, UCompose(e5, e4))
     return left, right
 

@@ -30,12 +30,12 @@ from cohcheck.ualg import (
     kappa_embed,
     normalize_uobj,
     phi_object,
-    phi_tilde,
     signature_of,
     umor_equal,
     umor_shadow,
     uobj_dissolve,
     validate_umor,
+    zeta,
 )
 
 from strategies import fmors
@@ -163,22 +163,24 @@ def test_dissolve_undoes_embedding(u):
     assert dissolve(kappa_embed(u), PHI_ID, u.flavor) == u
 
 
+# the components of the universal map phi_tilde: phi_object on words, zeta on
+# morphisms, UPhiQ on the unit and monoidal constraints
+
+
 def test_phi_tilde_object():
-    assert phi_tilde(("a", "a"), "object", PHI_A) == (PhiLetter(("a", "a")),)
-    assert phi_tilde(("a",), "object", PHI_A) == (FreeLetter("fa"),)
-    assert phi_tilde((), "object", PHI_A) == ()
+    assert phi_object((("a", "a"),), PHI_A) == (PhiLetter(("a", "a")),)
+    assert phi_object((("a",),), PHI_A) == (FreeLetter("fa"),)
+    assert phi_object(((),), PHI_A) == ()
 
 
 def test_phi_tilde_unit_constraint():
-    t = phi_tilde(None, "unit-constraint", PHI_A)
-    assert t == UPhiQ(())
+    t = UPhiQ(())
     assert validate_umor(t, PHI_A, "B") == ((), ())
     assert dissolve(t, PHI_A, "B") == fmor_id("B", ())
 
 
 def test_phi_tilde_monoidal_constraint():
-    t = phi_tilde((("a",), ("a",)), "monoidal-constraint", PHI_A)
-    assert t == UPhiQ((("a",), ("a",)))
+    t = UPhiQ((("a",), ("a",)))
     src, tgt = validate_umor(t, PHI_A, "B")
     assert src == (FreeLetter("fa"), FreeLetter("fa"))
     assert tgt == (PhiLetter(("a", "a")),)
@@ -186,7 +188,7 @@ def test_phi_tilde_monoidal_constraint():
 
 def test_phi_tilde_morphism_dissolves_through_map():
     u = fmor_of_braid(("a", "b"), parse_braid("s1", 2))
-    t = phi_tilde(u, "morphism", PHI_FOLD)
+    t = zeta(u)
     d = dissolve(t, PHI_FOLD, "B")
     assert d.source == ("f", "f")
     assert d.content.letters == (1,)
@@ -218,8 +220,8 @@ def test_hexagon_lift_commutes():
     left = UCompose(e3, UCompose(e2, e1))
 
     e4 = UPhiQ((("a",), ("a",), ("a",)))
-    e5 = phi_tilde(fmor_of_braid(("a", "a", "a"), parse_braid("s2", 3)), "morphism", PHI_A)
-    e6 = phi_tilde(fmor_of_braid(("a", "a", "a"), parse_braid("s1", 3)), "morphism", PHI_A)
+    e5 = zeta(fmor_of_braid(("a", "a", "a"), parse_braid("s2", 3)))
+    e6 = zeta(fmor_of_braid(("a", "a", "a"), parse_braid("s1", 3)))
     right = UCompose(e6, UCompose(e5, e4))
 
     assert umor_equal(left, right, PHI_A, "B")
@@ -238,7 +240,7 @@ def test_middle_four_lift_commutes():
 
     e4 = UTensor(UPhiQ((("a",), ("b",))), UPhiQ((("c",), ("d",))))
     e5 = UPhiQ((("a", "b"), ("c", "d")))
-    e6 = phi_tilde(fmor_of_braid(("a", "b", "c", "d"), parse_braid("s2", 4)), "morphism", PHI_4)
+    e6 = zeta(fmor_of_braid(("a", "b", "c", "d"), parse_braid("s2", 4)))
     right = UCompose(e6, UCompose(e5, e4))
 
     assert umor_equal(left, right, PHI_4, "B")
