@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import StructureError
+from .errors import ParseError, StructureError
 
 Perm = tuple[int, ...]
 
@@ -82,15 +82,18 @@ class BraidWord:
 
 
 def parse_braid(text: str, n: int) -> BraidWord:
-    """Parse the text format; raises ValueError on bad letters."""
+    """Parse the text format; raises ParseError on bad letters."""
     letters = []
     for tok in text.split():
         m = _LETTER_RE.match(tok)
         if not m:
-            raise ValueError(f"bad braid letter {tok!r}")
-        i = int(m.group(1))
+            raise ParseError(f"bad braid letter {tok!r}")
+        try:
+            i = int(m.group(1))
+        except ValueError as err:  # more digits than int() converts
+            raise ParseError(str(err)) from err
         if not 1 <= i <= n - 1:
-            raise ValueError(f"letter {tok!r} out of range for {n} strands")
+            raise ParseError(f"letter {tok!r} out of range for {n} strands")
         letters.append(-i if m.group(2) else i)
     return BraidWord(n, tuple(letters))
 
@@ -140,14 +143,15 @@ def braid_inverse(w: BraidWord) -> BraidWord:
 
 def braid_perm(w: BraidWord) -> Perm:
     """Underlying permutation; signs are ignored."""
+    # both ways round, so that a letter costs O(1) and no inversion is paid
+    # at the end: most words whose permutation is asked for are empty
     pos = list(range(w.n))  # pos[i] = current position of strand i
+    at = pos[:]  # at[j] = strand now at position j
     for l in reversed(w.letters):
         j = abs(l) - 1
-        for i in range(w.n):
-            if pos[i] == j:
-                pos[i] = j + 1
-            elif pos[i] == j + 1:
-                pos[i] = j
+        a, b = at[j], at[j + 1]
+        at[j], at[j + 1] = b, a
+        pos[a], pos[b] = j + 1, j
     return tuple(pos)
 
 
@@ -291,6 +295,12 @@ def _left_weight_pair(x: _Factor, y: _Factor) -> bool:
     return moved
 
 
+def _tau(p: list[int]) -> list[int]:
+    """Conjugation by the half twist, which sends t_j to t_{n-2-j}."""
+    top = len(p) - 1
+    return [top - x for x in reversed(p)]
+
+
 def normalize_braid(w: BraidWord) -> BraidNormalForm:
     """Left-greedy normal form: Delta^k f_1 ... f_r with each f_i a
     permutation braid, no f_i trivial or the half twist, and each
@@ -300,18 +310,21 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
     if n <= 1:
         return BraidNormalForm(n, 0, ())
     # sigma_j^-1 = Delta^-1 (Delta sigma_j^-1), and the paren is simple.
-    # Moving every Delta^-1 to the front conjugates each simple to its left
-    # by Delta, which sends t_j to t_{n-2-j}: a letter is mirrored iff an
-    # odd number of inverse letters stand to its right.
+    # Moving a Delta^+-1 to the front conjugates each simple to its left by
+    # Delta, which sends t_j to t_{n-2-j} and keeps pairs left-weighted.
+    # Factors are stored mirrored iff an odd number of half twists has been
+    # taken out to their right, so a letter is mirrored by the parity of the
+    # inverse letters to its right plus that of the half twists taken out.
     inverses_right = sum(l < 0 for l in w.letters)
     delta = -inverses_right
+    twists = 0
     ident = list(range(n))
     w0 = list(_w0(n))
     factors: list[_Factor] = []
     for l in w.letters:
         inverses_right -= l < 0
         j = abs(l) - 1
-        if inverses_right % 2:
+        if (inverses_right + twists) % 2:
             j = n - 2 - j
         p = ident[:] if l > 0 else w0[:]
         p[j], p[j + 1] = p[j + 1], p[j]
@@ -319,17 +332,20 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
         # append one simple, then repair left-weightedness from the right;
         # once a pair is left unchanged, everything left of it is too
         # (Elrifai-Morton 1994; Epstein et al. 1992, ch. 9)
-        i = len(factors) - 2
-        while i >= 0 and _left_weight_pair(factors[i], factors[i + 1]):
+        i = len(factors) - 1
+        while i > 0 and factors[i][0] != w0 and _left_weight_pair(factors[i - 1], factors[i]):
             i -= 1
+        if factors[i][0] == w0:
+            # f_1 ... f_{i-1} Delta = Delta tau(f_1) ... tau(f_{i-1}): flip
+            # the stored parity and mirror only the factors right of Delta
+            del factors[i]
+            twists += 1
+            factors[i:] = [(_tau(p), _tau(q)) for p, q in factors[i:]]
         # identities sink to the right
         while factors and factors[-1][0] == ident:
             factors.pop()
-    # half twists float to the left
-    k = 0
-    while k < len(factors) and factors[k][0] == w0:
-        k += 1
-    return BraidNormalForm(n, delta + k, tuple(tuple(p) for p, _ in factors[k:]))
+    out = tuple(tuple(_tau(p) if twists % 2 else p) for p, _ in factors)
+    return BraidNormalForm(n, delta + twists, out)
 
 
 def nf_word(nf: BraidNormalForm) -> BraidWord:

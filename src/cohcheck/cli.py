@@ -812,7 +812,7 @@ def build_diagram(sf: SourceFile) -> Diagram:
                 built[name] = make_builtin_spec(ast[1], gensets[ast[2]], sf.flavor)
             else:
                 built[name] = compose_specs(built[ast[1]], built[ast[2]])
-        except (CohError, ValueError) as err:
+        except CohError as err:
             raise ElabError(f"functor {name}: {err}", span) from err
         functor = built[name]
 
@@ -977,7 +977,7 @@ def braid_eq(w1: str, w2: str, strands: int) -> None:
     try:
         u = parse_braid(w1, strands)
         v = parse_braid(w2, strands)
-    except (CohError, ValueError) as err:
+    except CohError as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(2)
     if braid_equal(u, v):

@@ -82,9 +82,12 @@ def make_builtin_spec(kind: str, gens: GenSet, flavor: Flavor) -> FunctorSpec:
     if kind == "doubling":
         return _nfold(2, gens, flavor, name="doubling")
     if m := _NFOLD_RE.match(kind):
-        n = int(m.group(1))
+        try:
+            n = int(m.group(1))
+        except ValueError as err:  # more digits than int() converts
+            raise StructureError(str(err)) from err
         if n < 1:
-            raise ValueError("nfold needs n >= 1")
+            raise StructureError("nfold needs n >= 1")
         return _nfold(n, gens, flavor)
     raise StructureError(f"unknown builtin functor {kind!r}")
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohcheck.braid_core import (
+    BraidNormalForm,
     BraidWord,
     block_braid,
     block_perm,
@@ -26,8 +32,9 @@ from cohcheck.braid_core import (
     perm_braid,
     perm_one_line,
     permute,
+    _w0,
 )
-from cohcheck.errors import StructureError
+from cohcheck.errors import ParseError, StructureError
 
 import braid_oracle
 
@@ -95,6 +102,38 @@ def equal_pairs(draw) -> tuple[BraidWord, BraidWord]:
     return u, BraidWord(n, tuple(letters))
 
 
+@st.composite
+def delta_words(draw) -> BraidWord:
+    """Mixed-sign words built to form a half twist inside the word:
+    cancelling pairs s_i s_i^-1 and positive half twists on k strands,
+    shifted to random offsets, inserted at random places."""
+    w = draw(braid_words(max_n=6, max_len=10))
+    n = w.n
+    letters = list(w.letters)
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(letters)))
+        if draw(st.booleans()):
+            l = draw(st.integers(1, n - 1)) * draw(st.sampled_from((1, -1)))
+            letters[pos:pos] = [l, -l]
+        else:
+            k = draw(st.integers(2, n))
+            off = draw(st.integers(0, n - k))
+            letters[pos:pos] = [l + off for l in perm_braid(_w0(k)).letters]
+    return BraidWord(n, tuple(letters))
+
+
+def seeded_word(n: int, length: int, inverse_share: float, seed: int) -> BraidWord:
+    rng = random.Random(seed)
+    return BraidWord(
+        n, tuple(rng.randrange(1, n) * (-1 if rng.random() < inverse_share else 1) for _ in range(length))
+    )
+
+
+def mirror(w: BraidWord) -> BraidWord:
+    """Conjugation by the half twist: sigma_i -> sigma_{n-i}, signs kept."""
+    return BraidWord(w.n, tuple(w.n - l if l > 0 else -w.n - l for l in w.letters))
+
+
 sizes_lists = st.lists(st.integers(0, 3), min_size=1, max_size=5)
 
 
@@ -110,7 +149,7 @@ def test_parse_round_trip() -> None:
 
 @pytest.mark.parametrize("text", ["s0", "s3", "x1", "s1^2", "s-1"])
 def test_parse_rejects(text: str) -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_braid(text, 3)
 
 
@@ -196,6 +235,24 @@ def test_normal_form_sound(w: BraidWord, big: BraidWord) -> None:
         assert braid_oracle.words_equal(word.letters, back.letters)
 
 
+@given(delta_words())
+def test_normal_form_sound_delta_mid_word(w: BraidWord) -> None:
+    back = nf_word(normalize_braid(w))
+    assert braid_oracle.words_equal(w.letters, back.letters)
+
+
+@given(st.integers(8, 12), st.integers(0, 200), st.floats(0, 1), st.integers(0, 2**32))
+def test_normal_form_commutes_with_mirror(n: int, length: int, inverse_share: float, seed: int) -> None:
+    # Delta w Delta^-1 is the mirrored word, so its normal form is the
+    # mirror of w's, factor by factor; no oracle is needed
+    w = seeded_word(n, length, inverse_share, seed)
+    nf, twin = normalize_braid(w), normalize_braid(mirror(w))
+    assert twin.delta_power == nf.delta_power
+    assert len(twin.factors) == len(nf.factors)
+    for f, g in zip(nf.factors, twin.factors):
+        assert braid_perm(mirror(perm_braid(f))) == g
+
+
 @given(braid_words())
 def test_normal_form_fixed_point(w: BraidWord) -> None:
     nf = normalize_braid(w)
@@ -256,6 +313,37 @@ def test_lax_square_words() -> None:
     assert braid_perm(u) == braid_perm(v)
     assert perm_one_line(braid_perm(u)) == [3, 1, 4, 2]
     assert not braid_equal(u, v)
+
+
+# -- golden normal forms at scale ---------------------------------------------
+
+# Seeded words too long for the oracle: strands, letters, share of inverse
+# letters, seed. golden_nf.json holds the delta power, the factor count and
+# the sha256 of str(normal form) of each, as computed by the normal form that
+# carried every half twist to the front one factor at a time.
+GOLDEN_NF_WORDS = {
+    "8x2400_inv50": (8, 2400, 0.5, 1),
+    "8x2400_inv30": (8, 2400, 0.3, 2),
+    "4x600_inv30": (4, 600, 0.3, 3),
+    "12x160_inv50": (12, 160, 0.5, 4),
+    "16x400_inv50": (16, 400, 0.5, 5),
+    "24x1200_positive": (24, 1200, 0.0, 6),
+}
+GOLDEN_NF = json.loads((Path(__file__).resolve().parent / "golden_nf.json").read_text(encoding="utf-8"))
+
+
+def nf_digest(nf: BraidNormalForm) -> dict:
+    text = str(nf)
+    return {
+        "delta_power": nf.delta_power,
+        "factors": len(nf.factors),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NF_WORDS))
+def test_normal_form_frozen(name: str) -> None:
+    assert nf_digest(normalize_braid(seeded_word(*GOLDEN_NF_WORDS[name]))) == GOLDEN_NF[name]
 
 
 # -- block braidings ----------------------------------------------------------

@@ -407,20 +407,28 @@ def test_braid_eq_unequal():
 def test_braid_eq_bad_letter():
     r = run("braid-eq", "s9", "s1", "--strands", "4")
     assert r.exit_code == 2
+    assert r.stderr == "error: letter 's9' out of range for 4 strands\n"
 
 
 @pytest.mark.parametrize(
     "args, status",
     [
         (["braid-eq", "", "", "--strands", "-1"], 2),
+        (["braid-eq", "s" + "1" * 5000, "", "--strands", "3"], 2),
         (["check", "nfold5000.coh"], 0),
+        (["check", "nfold_digits.coh"], 2),
     ],
-    ids=["braid-eq-negative-strands", "check-nfold-5000"],
+    ids=[
+        "braid-eq-negative-strands", "braid-eq-letter-past-int-limit",
+        "check-nfold-5000", "check-nfold-count-past-int-limit",
+    ],
 )
 def test_exit_contract(tmp_path, args, status):
-    # a copying functor of 5,000 copies, on a file without interpretations
-    text = fixture_text("cursed_lift.coh").split("interp")[0].replace("nfold(4)", "nfold(5000)")
-    (tmp_path / "nfold5000.coh").write_text(text, encoding="utf-8")
+    # copying functors on a file without interpretations: one of 5,000
+    # copies, and one whose count has more digits than int() converts
+    text = fixture_text("cursed_lift.coh").split("interp")[0]
+    for name, count in (("nfold5000.coh", "5000"), ("nfold_digits.coh", "1" * 5000)):
+        (tmp_path / name).write_text(text.replace("nfold(4)", f"nfold({count})"), encoding="utf-8")
     src = str(Path(cohcheck.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     r = subprocess.run(

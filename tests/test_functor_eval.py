@@ -72,7 +72,7 @@ def test_doubling_needs_braiding():
 
 
 def test_nfold_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureError):
         make_builtin_spec("nfold(0)", AB, "B")
     with pytest.raises(StructureError):
         make_builtin_spec("tripling", AB, "B")
