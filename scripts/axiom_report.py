@@ -6,6 +6,9 @@ associativity and unit square commutes. This prints the full matrix:
 
     python3 scripts/axiom_report.py
     python3 scripts/axiom_report.py --kinds doubling "nfold(3)" --max-len 3
+
+Exit status 0 with a report; 2, with the error on stderr, for a functor
+kind or generator set that cannot be built.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from cohcheck.errors import UnsupportedOp
+from cohcheck.errors import CohError, UnsupportedOp
 from cohcheck.free_cat import GenSet, format_obj
 from cohcheck.functor_eval import check_axioms, default_probe, make_builtin_spec
 
@@ -60,7 +63,11 @@ def main() -> int:
     ap.add_argument("--gens", nargs="+", default=["a", "b"])
     ap.add_argument("--max-len", type=int, default=2)
     args = ap.parse_args()
-    return run(ReportConfig(tuple(args.kinds), GenSet("G", tuple(args.gens)), args.max_len))
+    try:
+        return run(ReportConfig(tuple(args.kinds), GenSet("G", tuple(args.gens)), args.max_len))
+    except CohError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -363,6 +363,8 @@ def nf_word(nf: BraidNormalForm) -> BraidWord:
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:
+    """Equal letters are the same group element, so only words that differ
+    as words need their normal forms."""
     if u.n != v.n:
         raise StructureError("words on different strand counts")
-    return normalize_braid(u) == normalize_braid(v)
+    return u.letters == v.letters or normalize_braid(u) == normalize_braid(v)

@@ -2,10 +2,12 @@
 
 A FunctorSpec packages the four pieces of a strong monoidal functor
 between free algebras: the object map, the morphism map, and the
-invertible constraints f2 (binary) and f0 (unit). check_axioms probes the
-coherence axioms on finite sets of objects; in the braided flavor the
-braid axiom is probed separately because a functor can be coherent for
-permutations yet fail it for braids.
+invertible constraints f2 (binary) and f0 (unit). The copying functors'
+f2 depends on its arguments only through their lengths, and each spec
+builds it once per length pair. check_axioms probes the coherence axioms
+on finite sets of objects; in the braided flavor the braid axiom is
+probed separately because a functor can be coherent for permutations yet
+fail it for braids.
 
 lambda_eval reads a universal-algebra term through a functor: plain
 letters through a caller-supplied interpretation, formed letters through
@@ -15,6 +17,7 @@ term to evaluate, the functor must live in the term's flavor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -22,6 +25,7 @@ from typing import Callable, Mapping
 
 from .errors import BoundaryError, FlavorError, InterpError, StructureError, UnsupportedOp
 from .free_cat import (
+    Content,
     Flavor,
     FreeMor,
     FreeMor2,
@@ -93,6 +97,9 @@ def make_builtin_spec(kind: str, gens: GenSet, flavor: Flavor) -> FunctorSpec:
 
 
 def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> FunctorSpec:
+    """f2(x, y): x^n y^n -> (xy)^n depends on x and y only through their
+    lengths, so each spec builds its content once per length pair; the
+    labels only decorate the validated boundary."""
     if n >= 2 and flavor == "M":
         raise UnsupportedOp("copying functors need a braiding; flavor M has none")
 
@@ -105,7 +112,9 @@ def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> Fun
             out = fmor_tensor(out, u)
         return out
 
-    def f2(x: Obj, y: Obj) -> FreeMor:
+    @functools.cache
+    def shuffle(lx: int, ly: int) -> Content:
+        x, y = ("x",) * lx, ("y",) * ly
         out = fmor_id(flavor, x + y)
         for k in range(2, n + 1):
             # pull the last copy of x through the earlier copies of y
@@ -114,7 +123,10 @@ def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> Fun
                 fmor_tensor(fmor_braiding(x, y * (k - 1), flavor), fmor_id(flavor, y)),
             )
             out = fmor_compose(fmor_tensor(out, fmor_id(flavor, x + y)), inner)
-        return out
+        return out.content
+
+    def f2(x: Obj, y: Obj) -> FreeMor:
+        return FreeMor(flavor, x * n + y * n, (x + y) * n, shuffle(len(x), len(y)))
 
     return FunctorSpec(
         flavor,

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from cohcheck.braid_core import BraidWord, braid_equal, parse_braid
 from cohcheck.errors import BoundaryError, InterpError, StructureError, UnsupportedOp
-from cohcheck.free_cat import GenSet, fmor_compose, fmor_equal, fmor_id, fmor_inverse, fmor_of_braid
+from cohcheck.free_cat import (
+    GenSet,
+    fmor_braiding,
+    fmor_compose,
+    fmor_equal,
+    fmor_id,
+    fmor_inverse,
+    fmor_of_braid,
+    fmor_tensor,
+)
 from cohcheck.functor_eval import (
     FunctorSpec,
     check_axioms,
@@ -103,6 +112,43 @@ def test_quadrupling_constraint_words():
     assert c_comp.content.letters == (2, 6, 4, 3, 5, 4)
     assert c_ind.content.letters == (2, 4, 3, 6, 5, 4)
     assert fmor_equal(c_comp, c_ind)
+
+
+def _shuffle_reference(n, flavor, x, y):
+    """f2 of nfold(n) built from the words themselves: at copy level k, the
+    last copy of x is pulled through the earlier copies of y."""
+    out = fmor_id(flavor, x + y)
+    for k in range(2, n + 1):
+        inner = fmor_tensor(
+            fmor_id(flavor, x * (k - 1)),
+            fmor_tensor(fmor_braiding(x, y * (k - 1), flavor), fmor_id(flavor, y)),
+        )
+        out = fmor_compose(fmor_tensor(out, fmor_id(flavor, x + y)), inner)
+    return out
+
+
+@pytest.mark.parametrize("flavor", ["S", "B"])
+@pytest.mark.parametrize("kind, n", [(f"nfold({n})", n) for n in range(1, 6)] + [("doubling", 2)])
+def test_constraint_depends_only_on_lengths(kind, n, flavor):
+    # one spec answers every pair, so words of equal lengths, shared
+    # labels included, reuse the content built for the first of them
+    F = make_builtin_spec(kind, AB, flavor)
+    probe = default_probe(AB, 3)
+    for x in probe:
+        for y in probe:
+            assert F.f2(x, y) == _shuffle_reference(n, flavor, x, y)
+
+
+@pytest.mark.parametrize("flavor", ["S", "B"])
+def test_composite_constraint_matches_reference(flavor):
+    D = make_builtin_spec("doubling", AB, flavor)
+    DD = compose_specs(D, D)
+    probe = default_probe(AB, 3)
+    for x in probe:
+        for y in probe:
+            ref = fmor_compose(D.mor(_shuffle_reference(2, flavor, x, y)),
+                               _shuffle_reference(2, flavor, D.obj(x), D.obj(y)))
+            assert DD.f2(x, y) == ref
 
 
 def test_compose_requires_matching_gens():
