@@ -1,5 +1,9 @@
 """Check every goal in a directory of .coh files and print a verdict table.
 
+Each row is one goal: the file, the milliseconds the file took to parse,
+build and explain (the same on every row of a file), the goal, its verdict
+and the braid word of each side.
+
 Run from the repository root:
 
     python3 scripts/check_corpus.py
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,17 +37,22 @@ def run(cfg: CorpusConfig) -> int:
     width = max(len(p.stem) for p in files) + 2
     failures = 0
     for path in files:
+        start = time.perf_counter()
+        error: CohError | None = None
         try:
             d = build_diagram(parse_source(path.read_text(encoding="utf-8")))
+            reports = [explain_goal(d, goal) for goal in d.goals]
         except CohError as err:
-            print(f"{path.stem:<{width}} error: {err}")
+            error = err
+        head = f"{path.stem:<{width}} {1000 * (time.perf_counter() - start):8.1f} ms "
+        if error is not None:
+            print(f"{head} error: {error}")
             failures += 1
             continue
         flat = diagram_shadow(d) if cfg.flatten and d.flavor == "B" else None
-        for goal in d.goals:
-            rep = explain_goal(d, goal)
+        for goal, rep in zip(d.goals, reports):
             line = (
-                f"{path.stem:<{width}} {goal.name:<8} {rep.verdict:<16} "
+                f"{head} {goal.name:<8} {rep.verdict:<16} "
                 f"left [{rep.left.word}]  right [{rep.right.word}]"
             )
             if flat is not None:

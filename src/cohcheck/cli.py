@@ -35,7 +35,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import click
 
@@ -46,7 +46,7 @@ from .diagram_check import (
     Diagram,
     Edge,
     Goal,
-    compose_path,
+    dissolve_path,
     explain_goal,
     report_json,
     validate_diagram,
@@ -69,44 +69,42 @@ from .ualg import (
     UPhiQ,
     UPhiQInv,
     UTensor,
-    dissolve,
     format_uobj,
     normalize_uobj,
 )
 
 # -- tokens ----------------------------------------------------------------------
 
+# one match per token: group 1 is a token, group 2 a character that starts none
 _TOKEN_RE = re.compile(
-    r'"[^"]*"'
+    r'\s*(?:("[^"]*"'
     r"|->|=="
     r"|[A-Za-z_][A-Za-z0-9_]*(?:\^-1)?"
     r"|-?\d+"
-    r"|[()\[\]{}|;.,=:]"
+    r"|[()\[\]{}|;.,=:])|(\S))"
 )
 _WORD_LETTER_RE = re.compile(r"s(\d+)(\^-1)?$")
 
 FLAVOR_WORDS = {"braided": "B", "symmetric": "S", "monoidal": "M"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
-    span: SourceSpan
+    line: int
+    col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.col)
 
 
 def _tokenize_line(line: str, lineno: int) -> list[Token]:
     toks: list[Token] = []
-    pos = 0
-    body = line.split("#", 1)[0]
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(body, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {body[pos]!r}", SourceSpan(lineno, pos + 1))
-        toks.append(Token(m.group(0), SourceSpan(lineno, pos + 1)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+        text, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", SourceSpan(lineno, m.start(2) + 1))
+        toks.append(Token(text, lineno, m.start(1) + 1))
     return toks
 
 
@@ -120,9 +118,6 @@ class _Cursor:
 
     def peek(self) -> str | None:
         return self.tokens[self.i].text if self.i < len(self.tokens) else None
-
-    def span(self) -> SourceSpan:
-        return self.tokens[self.i].span if self.i < len(self.tokens) else self.end_span
 
     def next(self) -> Token:
         if self.i >= len(self.tokens):
@@ -205,10 +200,7 @@ def _parse_word_token(text: str, span: SourceSpan) -> int:
 
 
 def _parse_quoted_word(tok: Token) -> tuple[int, ...]:
-    letters = []
-    for part in tok.text[1:-1].split():
-        letters.append(_parse_word_token(part, tok.span))
-    return tuple(letters)
+    return tuple(_parse_word_token(part, tok.span) for part in tok.text[1:-1].split())
 
 
 def _parse_obj(cur: _Cursor) -> ObjAst:
@@ -939,12 +931,11 @@ def dissolve_cmd(file: str) -> None:
     d = _load(file)
     try:
         for name in d.edges:
-            e = d.edges[name]
-            u = dissolve(e.term, d.phi, d.flavor)
+            u = dissolve_path(d, (name,))
             click.echo(f"edge {name}: {' '.join(u.source)} -> {' '.join(u.target)}  {_content_str(u, d.flavor)}")
         for g in d.goals:
             for label, path in (("left", g.left), ("right", g.right)):
-                u = dissolve(compose_path(d, path), d.phi, d.flavor)
+                u = dissolve_path(d, path)
                 click.echo(f"goal {g.name} {label}: {_content_str(u, d.flavor)}  nf {_nf_str(u, d.flavor)}")
     except CohError as err:
         _fail(err)
@@ -993,12 +984,11 @@ def braid_eq(w1: str, w2: str, strands: int) -> None:
 def render(file: str, edge_name: str) -> None:
     """Draw an edge's dissolved braid."""
     d = _load(file)
-    e = d.edges.get(edge_name)
-    if e is None:
+    if edge_name not in d.edges:
         click.echo(f"error: no edge named {edge_name!r}", err=True)
         sys.exit(2)
     try:
-        u = dissolve(e.term, d.phi, d.flavor)
+        u = dissolve_path(d, (edge_name,))
         if d.flavor == "B":
             word = u.content
         elif d.flavor == "S":

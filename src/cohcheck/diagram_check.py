@@ -1,8 +1,10 @@
 """Diagram containers and commutativity verdicts.
 
 A diagram bundles a generator map, named objects of the lifted algebra, and
-named edges carrying lift terms between them. A goal is a parallel pair of
-edge paths; checking one dissolves both composites and compares the results.
+named edges carrying lift terms between them. Validation dissolves each edge
+once and keeps its residue on the diagram. A goal is a parallel pair of edge
+paths; since dissolution is a strict monoidal functor, each side's residue is
+the composite of its edges' residues, and checking compares the two.
 In the braided flavor the verdict is tri-state, because a pair of composites
 can disagree as braids while still agreeing at the permutation level; the
 symmetric and plain flavors collapse to a binary verdict.
@@ -10,14 +12,15 @@ symmetric and plain flavors collapse to a binary verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .braid_core import Perm, braid_str, normalize_braid, perm_braid, perm_one_line
 from .errors import BoundaryError, StructureError, PathError, UnknownName, UnsupportedOp
-from .free_cat import Flavor, FreeMor, Gen, Obj, permutation_shadow, project_generator
+from .free_cat import Flavor, FreeMor, Gen, Obj, fmor_compose, permutation_shadow, project_generator
 from .functor_eval import FunctorSpec, check_interp, lambda_eval
-from .ualg import ObjMap, UCompose, UId, UMor, UObj, dissolve, format_uobj, umor_shadow, validate_umor
+from .ualg import ObjMap, UCompose, UId, UMor, UObj, _dissolution, format_uobj, umor_shadow
 
 EQUAL = "equal"
 EQUAL_IN_S_ONLY = "equal_in_s_only"
@@ -53,26 +56,36 @@ class Diagram:
     goals: tuple[Goal, ...]
     functor: FunctorSpec | None = None
     interp: dict[str, Obj] | None = None
+    # edge name -> (the edge, its dissolved term), filled by _edge_residue
+    residues: dict[str, tuple[Edge, FreeMor]] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+
+def _edge_residue(d: Diagram, e: Edge) -> FreeMor:
+    """The edge's term dissolved once per diagram, after checking it
+    against its declared endpoints. An edge replaced in d.edges is
+    dissolved afresh."""
+    cached = d.residues.get(e.name)
+    if cached is not None and cached[0] is e:
+        return cached[1]
+    for node in (e.source, e.target):
+        if node not in d.nodes:
+            raise UnknownName(f"edge {e.name}: no node named {node!r}")
+    src, tgt, u = _dissolution(e.term, d.phi, d.flavor)
+    for end, got, node in (("starts", src, e.source), ("ends", tgt, e.target)):
+        if got != d.nodes[node]:
+            raise BoundaryError(
+                f"edge {e.name}: term {end} at {format_uobj(got)}, node {node} is {format_uobj(d.nodes[node])}"
+            )
+    d.residues[e.name] = (e, u)
+    return u
 
 
 def validate_diagram(d: Diagram) -> None:
     """Check every edge term against its declared endpoints and every goal
-    against its paths. Nodes are expected in normalized form."""
+    against its paths, dissolving each edge once. Nodes are expected in
+    normalized form."""
     for e in d.edges.values():
-        for node in (e.source, e.target):
-            if node not in d.nodes:
-                raise UnknownName(f"edge {e.name}: no node named {node!r}")
-        src, tgt = validate_umor(e.term, d.phi, d.flavor)
-        if src != d.nodes[e.source]:
-            raise BoundaryError(
-                f"edge {e.name}: term starts at {format_uobj(src)}, "
-                f"node {e.source} is {format_uobj(d.nodes[e.source])}"
-            )
-        if tgt != d.nodes[e.target]:
-            raise BoundaryError(
-                f"edge {e.name}: term ends at {format_uobj(tgt)}, "
-                f"node {e.target} is {format_uobj(d.nodes[e.target])}"
-            )
+        _edge_residue(d, e)
     for g in d.goals:
         if not g.left or not g.right:
             raise PathError(f"goal {g.name}: both sides need at least one edge")
@@ -131,8 +144,16 @@ class _Residue:
     key: object
 
 
-def _residue(d: Diagram, term: UMor) -> _Residue:
-    u = dissolve(term, d.phi, d.flavor)
+def dissolve_path(d: Diagram, path: Sequence[str]) -> FreeMor:
+    """The dissolved composite of a nonempty path: its edges' residues
+    composed. Dissolution is a strict monoidal functor, so this is the
+    dissolution of compose_path(d, path)."""
+    path_endpoints(d, path)
+    return reduce(fmor_compose, (_edge_residue(d, d.edges[name]) for name in path))
+
+
+def _residue(d: Diagram, path: Sequence[str]) -> _Residue:
+    u = dissolve_path(d, path)
     return _Residue(u, permutation_shadow(u), normalize_braid(u.content) if d.flavor == "B" else u.content)
 
 
@@ -147,8 +168,7 @@ def _verdict(left: _Residue, right: _Residue) -> Verdict:
 
 
 def check_goal(d: Diagram, goal: Goal) -> Verdict:
-    lt, rt = compose_path(d, goal.left), compose_path(d, goal.right)
-    return _verdict(_residue(d, lt), _residue(d, rt))
+    return _verdict(_residue(d, goal.left), _residue(d, goal.right))
 
 
 @dataclass(frozen=True)
@@ -192,11 +212,10 @@ def explain_goal(
     the permutation shadows and, when the caller passes a functor and an
     interpretation, the evaluated composites themselves. A functor and
     interpretation declared in the diagram are only checked."""
-    lt, rt = compose_path(d, goal.left), compose_path(d, goal.right)
-    left, right = _residue(d, lt), _residue(d, rt)
+    left, right = _residue(d, goal.left), _residue(d, goal.right)
     images: tuple[FreeMor | None, FreeMor | None] = (None, None)
     if functor is not None and interp is not None:
-        images = (lambda_eval(lt, functor, interp, d.phi), lambda_eval(rt, functor, interp, d.phi))
+        images = tuple(lambda_eval(compose_path(d, p), functor, interp, d.phi) for p in (goal.left, goal.right))
     else:
         functor = functor if functor is not None else d.functor
         interp = interp if interp is not None else d.interp

@@ -116,11 +116,14 @@ def _by_flavor(flavor: Flavor, on_perms: Callable, on_braids: Callable, *args) -
     on_braids in B."""
     if flavor == "M":
         return None
+    if flavor not in FLAVORS:
+        raise FlavorError(f"unknown flavor {flavor!r}")
     return (on_perms if flavor == "S" else on_braids)(*args)
 
 
 def fmor_id(flavor: Flavor, x: tuple[Label, ...]) -> FreeMor:
-    return FreeMor(flavor, x, x, _by_flavor(flavor, identity_perm, braid_id, len(x)))
+    content = _by_flavor(flavor, identity_perm, braid_id, len(x))
+    return trusted(FreeMor, flavor=flavor, source=x, target=x, content=content)
 
 
 def fmor_of_perm(x: tuple[Label, ...], p: Perm) -> FreeMor:
@@ -165,7 +168,8 @@ def fmor_braiding(x: tuple[Label, ...], y: tuple[Label, ...], flavor: Flavor) ->
     """The block braiding x;y -> y;x (block transposition in flavor S)."""
     if flavor == "M":
         raise UnsupportedOp("flavor M has no braiding")
-    return FreeMor(flavor, x + y, y + x, _by_flavor(flavor, block_perm, block_braid, len(x), len(y)))
+    content = _by_flavor(flavor, block_perm, block_braid, len(x), len(y))
+    return trusted(FreeMor, flavor=flavor, source=x + y, target=y + x, content=content)
 
 
 def underlying_permutation(u: FreeMor) -> Perm:
@@ -206,10 +210,7 @@ def project_generator(u: FreeMor, g: str, gens: GenSet | None = None) -> Perm:
 
 
 def concat_blocks(blocks: Tuple2) -> Obj:
-    out: tuple[Gen, ...] = ()
-    for b in blocks:
-        out = out + tuple(b)
-    return out
+    return tuple(g for b in blocks for g in b)
 
 
 @dataclass(frozen=True)

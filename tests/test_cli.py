@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import json
 import os
 import subprocess
@@ -19,8 +20,9 @@ from cohcheck.cli import (
     parse_source,
     render_braid_ascii,
 )
-from cohcheck.diagram_check import EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, check_goal
-from cohcheck.errors import ElabError, ParseError, StructureError
+from cohcheck import ualg
+from cohcheck.diagram_check import EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, check_goal, explain_goal
+from cohcheck.errors import ElabError, ParseError, SourceSpan, StructureError
 from cohcheck.ualg import dissolve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -77,6 +79,45 @@ def test_unexpected_character_span():
         parse_source("node x = $")
     assert exc.value.span.line == 1
     assert exc.value.span.col == 10
+
+
+# message, line and column of each error as the tokenizer gave them before it
+# became one regex match per token
+MALFORMED_LINES = [
+    ("$ node x = [a]", "unexpected character '$'", 1, 1),
+    ("node x = $ [a]", "unexpected character '$'", 1, 10),
+    ("node x = [a] $", "unexpected character '$'", 1, 14),
+    ("node x =\t@[a]", "unexpected character '@'", 1, 10),
+    ("\t!", "unexpected character '!'", 1, 2),
+    ('edge e : n -> n = "s1 s2"%', "unexpected character '%'", 1, 26),
+    ('edge e : n -> n = "s1 s2" &', "unexpected character '&'", 1, 27),
+    ('edge e : n -> n = "s1 s2', "unexpected character '\"'", 1, 19),
+    ("node x = [\u00e9]", "unexpected character '\u00e9'", 1, 11),
+    ("gens A = { a, \u03b2 }", "unexpected character '\u03b2'", 1, 15),
+    ("flavor braided\n  node x = [a] ?", "unexpected character '?'", 2, 16),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    MALFORMED_LINES,
+    ids=[
+        "dollar-start", "dollar-middle", "dollar-end", "after-tab", "after-tab-only",
+        "after-quoted-word", "after-quoted-word-and-space", "unterminated-quote",
+        "non-ascii-letter", "non-ascii-name", "second-line",
+    ],
+)
+def test_tokenizer_error_spans(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert (exc.value.message, exc.value.span.line, exc.value.span.col) == (message, line, col)
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+
+def test_bad_characters_in_comments_are_ignored():
+    sf = parse_source('flavor braided # $ @ \u00e9 "\ngens A = { a } # bad $ here\n')
+    assert (sf.flavor, sf.gens) == ("B", (("A", ("a",)),))
+    assert sf.spans["gens", "A"] == SourceSpan(2, 1)
 
 
 def test_duplicate_name_rejected():
@@ -357,6 +398,41 @@ def test_check_deep_goal_path(tmp_path):
         "goal deep : " + " . ".join(["e"] * copies) + " == f\n"
     ))
     _check_says_equal(deep)
+
+
+def _count_typing(monkeypatch) -> collections.Counter:
+    """Count typed folds per term; validate_umor fails the test."""
+    typed: collections.Counter = collections.Counter()
+    fold_typed = ualg.fold_typed
+
+    def counting(t, *args):
+        typed[id(t)] += 1
+        return fold_typed(t, *args)
+
+    def forbidden(*args):
+        raise AssertionError("validate_umor called")
+
+    monkeypatch.setattr(ualg, "fold_typed", counting)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("cohcheck") and hasattr(mod, "validate_umor"):
+            monkeypatch.setattr(mod, "validate_umor", forbidden)
+    return typed
+
+
+@pytest.mark.parametrize("shape", ["pair", "deep_path"])
+def test_each_edge_is_typed_once(monkeypatch, shape):
+    if shape == "pair":
+        text = fixture_text("pair.coh")
+    else:
+        text = _tiny(
+            "node n = [fa fa]\nedge e : n -> n = s1\nedge f : n -> n = " + " ".join(["s1"] * 1500) + "\n"
+            "goal deep : " + " . ".join(["e"] * 1500) + " == f\n"
+        )
+    typed = _count_typing(monkeypatch)
+    d = build_diagram(parse_source(text))
+    for g in d.goals:
+        explain_goal(d, g)
+    assert typed == collections.Counter({id(e.term): 1 for e in d.edges.values()})
 
 
 def test_check_deep_edge(tmp_path):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from cohcheck.braid_core import perm_one_line
+from cohcheck.cli import build_diagram, parse_source
 from cohcheck.diagram_check import (
     EQUAL,
     EQUAL_IN_S_ONLY,
@@ -14,6 +17,7 @@ from cohcheck.diagram_check import (
     check_goal,
     compose_path,
     diagram_shadow,
+    dissolve_path,
     explain_goal,
     path_endpoints,
     report_json,
@@ -35,6 +39,7 @@ from diagrams import (
 )
 
 ALL = (hexagon_diagram, naturality_diagram, braiding_naturality_diagram, cyclic_diagram, unequal_diagram)
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.coh"))
 
 
 @pytest.fixture(params=ALL, ids=lambda f: f.__name__)
@@ -202,3 +207,42 @@ def test_parallel_goal_cap():
     d = cyclic_diagram()
     with pytest.raises(StructureError):
         all_parallel_goals(d, max_edges=3)
+
+
+# -- residues from edge residues ------------------------------------------------
+
+
+def _every_diagram():
+    for build in ALL:
+        yield build.__name__, build()
+    for path in FIXTURES:
+        yield path.name, build_diagram(parse_source(path.read_text(encoding="utf-8")))
+
+
+def test_side_residue_is_the_dissolved_composite():
+    for name, d in _every_diagram():
+        for g in d.goals:
+            for side in (g.left, g.right):
+                u = dissolve_path(d, side)
+                v = dissolve(compose_path(d, side), d.phi, d.flavor)
+                assert (u.flavor, u.source, u.target, u.content) == (v.flavor, v.source, v.target, v.content), (
+                    name, g.name, side)
+
+
+@pytest.mark.parametrize("build", ALL, ids=lambda f: f.__name__)
+def test_explain_without_validation_matches_validated(build):
+    lazy, checked = build(), build()
+    validate_diagram(checked)
+    assert len(checked.residues) == len(checked.edges)
+    assert not lazy.residues
+    for g in lazy.goals:
+        assert explain_goal(lazy, g) == explain_goal(checked, g)
+
+
+def test_replaced_edge_is_dissolved_afresh():
+    d = unequal_diagram()
+    g = d.goals[0]
+    assert check_goal(d, g) == NOT_EQUAL
+    stay = d.edges["stay"]
+    d.edges["swap"] = Edge("swap", stay.source, stay.target, stay.term)
+    assert check_goal(d, g) == EQUAL

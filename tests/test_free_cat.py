@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from cohcheck.braid_core import BraidWord, compose_perm, parse_braid, perm_one_l
 from cohcheck.errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
 from cohcheck.free_cat import (
     FreeMor,
+    FLAVORS,
     FreeMor2,
     GenSet,
     Flavor,
@@ -74,6 +76,31 @@ def test_equality_needs_parallel():
     v = fmor_id("S", ("b",))
     with pytest.raises(BoundaryError):
         fmor_equal(u, v)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trusted_constructors_match_validated(seed):
+    # fmor_id and fmor_braiding skip FreeMor's checks: each result must be
+    # what the validating constructor accepts from the same parts
+    rng = random.Random(seed)
+
+    def word() -> tuple:
+        labels = ("a", "b", "c", "d", ("a", "b"), ("c",))
+        return tuple(rng.choice(labels) for _ in range(rng.randint(0, 6)))
+
+    for _ in range(25):
+        x, y = word(), word()
+        for flavor in FLAVORS:
+            u = fmor_id(flavor, x)
+            assert u == FreeMor(flavor, x, x, u.content)
+            assert underlying_permutation(u) == tuple(range(len(x)))
+        for flavor in ("S", "B"):
+            u = fmor_braiding(x, y, flavor)
+            assert u == FreeMor(flavor, x + y, y + x, u.content)
+    with pytest.raises(FlavorError):
+        fmor_id("X", ("a",))
+    with pytest.raises(FlavorError):
+        fmor_braiding(("a",), ("b",), "X")
 
 
 # -- frozen composites --------------------------------------------------------

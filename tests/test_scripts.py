@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,33 @@ def test_axiom_report_bad_input(args, message):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr == message
+
+
+# rows of `scripts/check_corpus.py --flatten` on the fixtures before the time
+# column was added; without --flatten each row stops before "flattened"
+CORPUS_ROWS = """\
+cursed_cyclic   cyc      equal_in_s_only  left [s6 s5 s4 s3 s2 s1 s7 s6 s5 s4 s3 s2 s2 s6 s4 s3 s5 s4]  right [s2 s6 s4 s3 s5 s4 s3 s2 s1 s7 s6 s5]  flattened equal
+cursed_lift     natq     equal            left [s1]  right [s1]
+mystery1        hex      equal            left [s1 s2]  right [s1 s2]  flattened equal
+mystery2        natm     equal            left [s2]  right [s2]  flattened equal
+mystery3        natb     equal_in_s_only  left [s2 s1 s3 s2 s2]  right [s2 s1 s3]  flattened equal
+notequal        diff     not_equal        left [s1]  right []
+pair            braidax  equal_in_s_only  left [s2 s2 s1 s3 s2]  right [s1 s3 s2]  flattened equal
+"""
+
+
+@pytest.mark.parametrize("flatten", [False, True], ids=["plain", "flatten"])
+def test_check_corpus_time_column(flatten):
+    r = run_script("check_corpus.py", "--dir", str(ROOT / "fixtures"), *(["--flatten"] if flatten else []))
+    assert (r.returncode, r.stderr) == (1, "")
+    # the padded file name, then the milliseconds in 8 characters
+    timed = re.compile(r"^(.{16})[ \d]{5}\d\.\d ms  (\S.*)$")
+    rows = []
+    for line in r.stdout.splitlines():
+        m = timed.match(line)
+        assert m is not None, line
+        rows.append(m.group(1) + m.group(2))
+    expected = CORPUS_ROWS.splitlines()
+    if not flatten:
+        expected = [row.split("  flattened")[0] for row in expected]
+    assert rows == expected
