@@ -271,15 +271,20 @@ def _w0(n: int) -> Perm:
 _Factor = tuple[list[int], list[int]]
 
 
-def _left_weight_pair(x: _Factor, y: _Factor) -> bool:
+def _left_weight_pair(x: _Factor, y: _Factor, todo: list[int]) -> list[int]:
     """Move crossings from the left of y to the right of x until the pair
-    is left-weighted; report whether any crossing moved."""
+    is left-weighted. Only the positions in todo can break that, and a move
+    at j changes descents only next to the two strands it moved, so repair
+    visits todo and the positions j - 1 and j + 1 after each move. Returns
+    the positions whose left descent in x may have changed: a - 1, a,
+    b - 1, b for each pair a, b of entries of x's inverse that moved."""
     xp, xq = x
     yp, yq = y
-    moved = False
-    j = 0
-    while j < len(xp) - 1:
-        if yq[j] > yq[j + 1] and xp[j] < xp[j + 1]:
+    top = len(xp) - 2
+    moved: list[int] = []
+    while todo:
+        j = todo.pop()
+        if 0 <= j <= top and yq[j] > yq[j + 1] and xp[j] < xp[j + 1]:
             # x := x o t_j swaps xp[j], xp[j+1]; y := t_j o y swaps yq[j], yq[j+1]
             a, b = xp[j], xp[j + 1]
             xp[j], xp[j + 1] = b, a
@@ -287,11 +292,8 @@ def _left_weight_pair(x: _Factor, y: _Factor) -> bool:
             c, d = yq[j], yq[j + 1]
             yq[j], yq[j + 1] = d, c
             yp[c], yp[d] = j + 1, j
-            moved = True
-            # only the descents at j - 1 and j + 1 can have changed
-            j = max(j - 1, 0)
-        else:
-            j += 1
+            moved += (a - 1, a, b - 1, b)
+            todo += (j - 1, j + 1)
     return moved
 
 
@@ -326,14 +328,28 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
         j = abs(l) - 1
         if (inverses_right + twists) % 2:
             j = n - 2 - j
-        p = ident[:] if l > 0 else w0[:]
-        p[j], p[j + 1] = p[j + 1], p[j]
-        factors.append((p, p[:] if l > 0 else list(inverse_perm(p))))
-        # append one simple, then repair left-weightedness from the right;
-        # once a pair is left unchanged, everything left of it is too
-        # (Elrifai-Morton 1994; Epstein et al. 1992, ch. 9)
         i = len(factors) - 1
-        while i > 0 and factors[i][0] != w0 and _left_weight_pair(factors[i - 1], factors[i]):
+        if l > 0 and factors and factors[i][0][j] < factors[i][0][j + 1]:
+            # j is no right descent of the last factor x, so x o t_j is
+            # simple: absorb the letter in place, as repairing the pair
+            # (x, t_j) at j would
+            xp, xq = factors[i]
+            a, b = xp[j], xp[j + 1]
+            xp[j], xp[j + 1] = b, a
+            xq[a], xq[b] = j + 1, j
+            todo = [a - 1, a, b - 1, b]
+        else:
+            # here a positive letter's one left descent, j, is a right
+            # descent of x; an inverse letter may break the pair anywhere
+            p = ident[:] if l > 0 else w0[:]
+            p[j], p[j + 1] = p[j + 1], p[j]
+            factors.append((p, p[:] if l > 0 else list(inverse_perm(p))))
+            i += 1
+            todo = [] if l > 0 else list(range(n - 1))
+        # repair left-weightedness from the right; once a pair is left
+        # unchanged, everything left of it is too (Elrifai-Morton 1994;
+        # Epstein et al. 1992, ch. 9)
+        while i > 0 and factors[i][0] != w0 and (todo := _left_weight_pair(factors[i - 1], factors[i], todo)):
             i -= 1
         if factors[i][0] == w0:
             # f_1 ... f_{i-1} Delta = Delta tau(f_1) ... tau(f_{i-1}): flip

@@ -871,24 +871,32 @@ def _color_enabled() -> bool | None:
     return None
 
 
-def _fail(err: CohError) -> None:
-    click.echo(f"error: {err}", err=True)
-    sys.exit(2)
-
-
 def _load(path: str) -> Diagram:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return build_diagram(parse_source(handle.read()))
-    except CohError as err:
-        _fail(err)
-        raise AssertionError  # unreachable
+    with open(path, encoding="utf-8") as handle:
+        return build_diagram(parse_source(handle.read()))
 
 
 _VERDICT_COLORS = {EQUAL: "green", EQUAL_IN_S_ONLY: "yellow"}
 
 
-@click.group()
+class _ExitContract(click.Group):
+    """A CohError that escapes a command exits 2; any other exception is a
+    bug and exits 3, so that a crash never reads as a verdict."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort, click.ClickException):
+            raise
+        except CohError as err:
+            click.echo(f"error: {err}", err=True)
+            sys.exit(2)
+        except Exception as err:
+            click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_ExitContract)
 def main() -> None:
     """Decide whether diagrams of braids, permutations, and constraint
     collapses commute."""
@@ -929,16 +937,13 @@ def check(file: str, symmetric_ok: bool, json_path: str | None) -> None:
 def dissolve_cmd(file: str) -> None:
     """Print every edge's dissolution, then each goal side's composite."""
     d = _load(file)
-    try:
-        for name in d.edges:
-            u = dissolve_path(d, (name,))
-            click.echo(f"edge {name}: {' '.join(u.source)} -> {' '.join(u.target)}  {_content_str(u, d.flavor)}")
-        for g in d.goals:
-            for label, path in (("left", g.left), ("right", g.right)):
-                u = dissolve_path(d, path)
-                click.echo(f"goal {g.name} {label}: {_content_str(u, d.flavor)}  nf {_nf_str(u, d.flavor)}")
-    except CohError as err:
-        _fail(err)
+    for name in d.edges:
+        u = dissolve_path(d, (name,))
+        click.echo(f"edge {name}: {' '.join(u.source)} -> {' '.join(u.target)}  {_content_str(u, d.flavor)}")
+    for g in d.goals:
+        for label, path in (("left", g.left), ("right", g.right)):
+            u = dissolve_path(d, path)
+            click.echo(f"goal {g.name} {label}: {_content_str(u, d.flavor)}  nf {_nf_str(u, d.flavor)}")
 
 
 def _content_str(u: FreeMor, flavor: Flavor) -> str:
@@ -965,12 +970,8 @@ def braid_eq(w1: str, w2: str, strands: int) -> None:
     """Decide equality of two braid words on the given strand count."""
     from .braid_core import braid_equal, parse_braid
 
-    try:
-        u = parse_braid(w1, strands)
-        v = parse_braid(w2, strands)
-    except CohError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+    u = parse_braid(w1, strands)
+    v = parse_braid(w2, strands)
     if braid_equal(u, v):
         click.echo("equal")
         sys.exit(0)
@@ -987,17 +988,14 @@ def render(file: str, edge_name: str) -> None:
     if edge_name not in d.edges:
         click.echo(f"error: no edge named {edge_name!r}", err=True)
         sys.exit(2)
-    try:
-        u = dissolve_path(d, (edge_name,))
-        if d.flavor == "B":
-            word = u.content
-        elif d.flavor == "S":
-            word = perm_braid(u.content)
-        else:
-            word = BraidWord(len(u.source), ())
-        click.echo(render_braid_ascii(word, u.source))
-    except CohError as err:
-        _fail(err)
+    u = dissolve_path(d, (edge_name,))
+    if d.flavor == "B":
+        word = u.content
+    elif d.flavor == "S":
+        word = perm_braid(u.content)
+    else:
+        word = BraidWord(len(u.source), ())
+    click.echo(render_braid_ascii(word, u.source))
 
 
 if __name__ == "__main__":

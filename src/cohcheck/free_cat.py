@@ -131,7 +131,10 @@ def fmor_of_perm(x: tuple[Label, ...], p: Perm) -> FreeMor:
 
 
 def fmor_of_braid(x: tuple[Label, ...], w: BraidWord) -> FreeMor:
-    return FreeMor("B", x, tuple(permute(x, braid_perm(w))), w)
+    """The target is built from the word, so only the width is checked."""
+    if not isinstance(w, BraidWord) or w.n != len(x):
+        raise StructureError("flavor B needs a braid word on the source strands")
+    return trusted(FreeMor, flavor="B", source=x, target=tuple(permute(x, braid_perm(w))), content=w)
 
 
 def _check_flavors(u: FreeMor | FreeMor2, v: FreeMor | FreeMor2) -> None:

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from .braid_core import trusted
 from .errors import BoundaryError, FlavorError, InterpError, StructureError, UnsupportedOp
 from .free_cat import (
     Content,
@@ -98,8 +99,8 @@ def make_builtin_spec(kind: str, gens: GenSet, flavor: Flavor) -> FunctorSpec:
 
 def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> FunctorSpec:
     """f2(x, y): x^n y^n -> (xy)^n depends on x and y only through their
-    lengths, so each spec builds its content once per length pair; the
-    labels only decorate the validated boundary."""
+    lengths, so each spec builds and checks its content once per length
+    pair; the labels only decorate the boundary."""
     if n >= 2 and flavor == "M":
         raise UnsupportedOp("copying functors need a braiding; flavor M has none")
 
@@ -123,10 +124,16 @@ def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> Fun
                 fmor_tensor(fmor_braiding(x, y * (k - 1), flavor), fmor_id(flavor, y)),
             )
             out = fmor_compose(fmor_tensor(out, fmor_id(flavor, x + y)), inner)
+        # labels (copy, side, index) are all distinct, so one check shows
+        # the content sends x^n y^n to (xy)^n for every x and y
+        xs = [tuple((k, "x", i) for i in range(lx)) for k in range(n)]
+        ys = [tuple((k, "y", i) for i in range(ly)) for k in range(n)]
+        FreeMor(flavor, sum(xs + ys, ()), sum(map(tuple.__add__, xs, ys), ()), out.content)
         return out.content
 
     def f2(x: Obj, y: Obj) -> FreeMor:
-        return FreeMor(flavor, x * n + y * n, (x + y) * n, shuffle(len(x), len(y)))
+        content = shuffle(len(x), len(y))
+        return trusted(FreeMor, flavor=flavor, source=x * n + y * n, target=(x + y) * n, content=content)
 
     return FunctorSpec(
         flavor,

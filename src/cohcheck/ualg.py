@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .braid_core import braid_id
+from .braid_core import braid_id, trusted
 from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
 from .free_cat import (
     Flavor,
@@ -330,12 +330,9 @@ def validate_umor(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj]:
 
 
 def _relabel(u: FreeMor, phi: ObjMap) -> FreeMor:
-    return FreeMor(
-        u.flavor,
-        tuple(phi(g) for g in u.source),
-        tuple(phi(g) for g in u.target),
-        u.content,
-    )
+    """Relabelling a valid morphism pointwise keeps it valid."""
+    source, target = tuple(phi(g) for g in u.source), tuple(phi(g) for g in u.target)
+    return trusted(FreeMor, flavor=u.flavor, source=source, target=target, content=u.content)
 
 
 def _dissolve_leaf(t: UMor, phi: ObjMap, flavor: Flavor) -> FreeMor:

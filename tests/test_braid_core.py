@@ -235,6 +235,34 @@ def test_normal_form_sound(w: BraidWord, big: BraidWord) -> None:
         assert braid_oracle.words_equal(word.letters, back.letters)
 
 
+# All-positive words as wide as nfold(4)'s constraints: each letter whose
+# crossing is not already at the right of the last factor is absorbed into
+# it, and repair starts from the strands that crossing moved.
+positive_wide_words = st.integers(12, 24).flatmap(
+    lambda n: st.lists(st.integers(1, n - 1), max_size=40).map(lambda ls: BraidWord(n, tuple(ls)))
+)
+
+
+@given(positive_wide_words)
+def test_normal_form_sound_positive_wide(w: BraidWord) -> None:
+    nf = normalize_braid(w)
+    assert nf.delta_power >= 0
+    assert braid_oracle.words_equal(w.letters, nf_word(nf).letters)
+
+
+# On 2 strands the one positive letter is the half twist itself.
+@pytest.mark.parametrize(
+    "text, power",
+    [("", 0), ("s1", 1), ("s1 s1 s1", 3), ("s1^-1 s1^-1", -2), ("s1 s1^-1 s1", 1),
+     ("s1^-1 s1 s1", 1), ("s1 s1^-1 s1^-1 s1", 0)],
+)
+def test_two_strand_letters_are_half_twists(text: str, power: int) -> None:
+    w = parse_braid(text, 2)
+    nf = normalize_braid(w)
+    assert nf == BraidNormalForm(2, power, ())
+    assert braid_oracle.words_equal(w.letters, nf_word(nf).letters)
+
+
 @given(delta_words())
 def test_normal_form_sound_delta_mid_word(w: BraidWord) -> None:
     back = nf_word(normalize_braid(w))

@@ -20,7 +20,7 @@ from cohcheck.cli import (
     parse_source,
     render_braid_ascii,
 )
-from cohcheck import ualg
+from cohcheck import cli, ualg
 from cohcheck.diagram_check import EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, check_goal, explain_goal
 from cohcheck.errors import ElabError, ParseError, SourceSpan, StructureError
 from cohcheck.ualg import dissolve
@@ -512,6 +512,19 @@ def test_exit_contract(tmp_path, args, status):
     )
     assert r.returncode == status
     assert "Traceback" not in r.stderr
+
+
+def test_internal_error_exits_3(monkeypatch):
+    # a bug is not a verdict: one line on stderr, no traceback, status 3
+    def crash(d, g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "explain_goal", crash)
+    r = run("check", str(FIXTURES / "pair.coh"))
+    assert r.exit_code == 3
+    assert r.stderr == "internal error: RuntimeError: boom\n"
+    assert r.stdout == ""
+    assert "Traceback" not in r.output
 
 
 def test_render_unknown_edge():

@@ -80,8 +80,9 @@ def test_equality_needs_parallel():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_trusted_constructors_match_validated(seed):
-    # fmor_id and fmor_braiding skip FreeMor's checks: each result must be
-    # what the validating constructor accepts from the same parts
+    # fmor_id, fmor_braiding and fmor_of_braid skip FreeMor's checks: each
+    # result must be what the validating constructor accepts from the same
+    # parts
     rng = random.Random(seed)
 
     def word() -> tuple:
@@ -97,6 +98,13 @@ def test_trusted_constructors_match_validated(seed):
         for flavor in ("S", "B"):
             u = fmor_braiding(x, y, flavor)
             assert u == FreeMor(flavor, x + y, y + x, u.content)
+        n = len(x)
+        w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randint(0, 8)) if n > 1))
+        u = fmor_of_braid(x, w)
+        assert u == FreeMor("B", x, u.target, w)
+    for n in (2, 4):  # too few strands, and too many
+        with pytest.raises(StructureError, match="braid word on the source strands"):
+            fmor_of_braid(("a", "b", "c"), BraidWord(n, (1,)))
     with pytest.raises(FlavorError):
         fmor_id("X", ("a",))
     with pytest.raises(FlavorError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cohcheck.braid_core import BraidWord, braid_equal, parse_braid
 from cohcheck.errors import BoundaryError, InterpError, StructureError, UnsupportedOp
 from cohcheck.free_cat import (
+    FreeMor,
     GenSet,
     fmor_braiding,
     fmor_compose,
@@ -46,6 +47,7 @@ from strategies import fmors
 from termgen import random_umor
 
 AB = GenSet("AB", ("a", "b"))
+ABC = GenSet("ABC", ("a", "b", "c"))
 PHI_ID = identity_obj_map(AB)
 
 A = GenSet("A", ("a",))
@@ -140,6 +142,19 @@ def test_constraint_depends_only_on_lengths(kind, n, flavor):
 
 
 @pytest.mark.parametrize("flavor", ["S", "B"])
+@pytest.mark.parametrize("kind, n", [("doubling", 2)] + [(f"nfold({n})", n) for n in range(2, 6)])
+def test_constraint_passes_the_validating_constructor(kind, n, flavor):
+    # f2 is built without the boundary check, which its content passed once
+    # per length pair on distinct labels; every labelling passes it too
+    F = make_builtin_spec(kind, ABC, flavor)
+    probe = default_probe(ABC)
+    for x in probe:
+        for y in probe:
+            c = F.f2(x, y)
+            assert c == FreeMor(flavor, x * n + y * n, (x + y) * n, c.content)
+
+
+@pytest.mark.parametrize("flavor", ["S", "B"])
 def test_composite_constraint_matches_reference(flavor):
     D = make_builtin_spec("doubling", AB, flavor)
     DD = compose_specs(D, D)
@@ -196,6 +211,15 @@ def test_nfold_three_symmetric_but_not_braided():
     assert check_axioms(make_builtin_spec("nfold(3)", AB, "S")).ok
     rep = check_axioms(make_builtin_spec("nfold(3)", AB, "B"))
     assert rep.failures and all(f.axiom == "braid" for f in rep.failures)
+
+
+def test_nfold_four_braided_fails_exactly_on_nonempty_pairs():
+    # up to 24 strands: both objects nonempty is where the copies cross
+    probe = default_probe(ABC)
+    rep = check_axioms(make_builtin_spec("nfold(4)", ABC, "B"), probe)
+    assert rep.checked == len(probe) ** 3 + 2 * len(probe) + len(probe) ** 2
+    assert all(f.axiom == "braid" for f in rep.failures)
+    assert [f.witness for f in rep.failures] == [(x, y) for x in probe for y in probe if x and y]
 
 
 def test_report_counts_checks():
