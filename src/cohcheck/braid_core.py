@@ -36,7 +36,7 @@ def compose_perm(p: Perm, q: Perm) -> Perm:
     """(p o q)[i] = p[q[i]]; q acts first."""
     if len(p) != len(q):
         raise StructureError(f"cannot compose permutations of {len(p)} and {len(q)} points")
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse_perm(p: Perm) -> Perm:

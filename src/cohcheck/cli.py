@@ -39,7 +39,9 @@ from typing import NamedTuple, Sequence
 
 import click
 
-from .braid_core import BraidWord, braid_perm, braid_str, identity_perm, normalize_braid, perm_braid, permute
+from .braid_core import (
+    _LETTER_RE, BraidWord, braid_perm, braid_str, identity_perm, normalize_braid, perm_braid, permute,
+)
 from .diagram_check import (
     EQUAL,
     EQUAL_IN_S_ONLY,
@@ -51,7 +53,7 @@ from .diagram_check import (
     report_json,
     validate_diagram,
 )
-from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
+from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError, UnknownName
 from .free_cat import (
     Flavor, FreeMor, FreeMor2, GenSet, fmor_id, fmor_of_braid, fmor_of_perm, underlying_permutation,
 )
@@ -83,7 +85,7 @@ _TOKEN_RE = re.compile(
     r"|-?\d+"
     r"|[()\[\]{}|;.,=:])|(\S))"
 )
-_WORD_LETTER_RE = re.compile(r"s(\d+)(\^-1)?$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 FLAVOR_WORDS = {"braided": "B", "symmetric": "S", "monoidal": "M"}
 
@@ -104,7 +106,7 @@ def _tokenize_line(line: str, lineno: int) -> list[Token]:
         text, bad = m.groups()
         if bad is not None:
             raise ParseError(f"unexpected character {bad!r}", SourceSpan(lineno, m.start(2) + 1))
-        toks.append(Token(text, lineno, m.start(1) + 1))
+        toks.append(tuple.__new__(Token, (text, lineno, m.start(1) + 1)))
     return toks
 
 
@@ -134,7 +136,7 @@ class _Cursor:
 
     def name(self, what: str) -> Token:
         tok = self.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
+        if not _NAME_RE.fullmatch(tok.text):
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.span)
         return tok
 
@@ -189,18 +191,26 @@ class SourceFile:
         )
 
 
-def _parse_word_token(text: str, span: SourceSpan) -> int:
-    m = _WORD_LETTER_RE.fullmatch(text)
+def _number(digits: str, tok: Token) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"a number of {len(digits)} digits is too long", tok.span) from None
+
+
+def _parse_word_token(text: str, tok: Token) -> int:
+    """A letter of the braid word that starts at tok; errors point at tok."""
+    m = _LETTER_RE.fullmatch(text)
     if m is None:
-        raise ParseError(f"{text!r} is not a braid letter", span)
-    i = int(m.group(1))
+        raise ParseError(f"{text!r} is not a braid letter", tok.span)
+    i = _number(m.group(1), tok)
     if i == 0:
-        raise ParseError("braid letters are numbered from 1", span)
+        raise ParseError("braid letters are numbered from 1", tok.span)
     return -i if m.group(2) else i
 
 
 def _parse_quoted_word(tok: Token) -> tuple[int, ...]:
-    return tuple(_parse_word_token(part, tok.span) for part in tok.text[1:-1].split())
+    return tuple(_parse_word_token(part, tok) for part in tok.text[1:-1].split())
 
 
 def _parse_obj(cur: _Cursor) -> ObjAst:
@@ -209,7 +219,7 @@ def _parse_obj(cur: _Cursor) -> ObjAst:
         tok = cur.next()
         if tok.text == "[":
             items.append(("letters", cur.names("]")))
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text) and cur.peek() == "(":
+        elif _NAME_RE.fullmatch(tok.text) and cur.peek() == "(":
             cur.expect("(")
             items.append(("block", tok.text, cur.names(")")))
         else:
@@ -235,7 +245,7 @@ def _parse_block_list(cur: _Cursor) -> tuple[tuple[str, ...], ...]:
         elif tok.text == ")":
             blocks.append(tuple(word))
             return tuple(blocks)
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
+        elif _NAME_RE.fullmatch(tok.text):
             word.append(tok.text)
         else:
             raise ParseError(f"expected a generator, found {tok.text!r}", tok.span)
@@ -247,10 +257,10 @@ def _parse_factor(cur: _Cursor) -> tuple:
         return ("id",)
     if tok.text.startswith('"'):
         return ("word", _parse_quoted_word(tok))
-    if _WORD_LETTER_RE.fullmatch(tok.text):
-        letters = [_parse_word_token(tok.text, tok.span)]
-        while cur.peek() is not None and _WORD_LETTER_RE.fullmatch(cur.peek() or ""):
-            letters.append(_parse_word_token(cur.next().text, tok.span))
+    if _LETTER_RE.fullmatch(tok.text):
+        letters = [_parse_word_token(tok.text, tok)]
+        while cur.peek() is not None and _LETTER_RE.fullmatch(cur.peek() or ""):
+            letters.append(_parse_word_token(cur.next().text, tok))
         return ("word", tuple(letters))
     if tok.text == "perm":
         cur.expect("(")
@@ -262,7 +272,7 @@ def _parse_factor(cur: _Cursor) -> tuple:
             t = cur.next()
             if not t.text.isdigit():
                 raise ParseError(f"expected a strand number, found {t.text!r}", t.span)
-            images.append(int(t.text))
+            images.append(_number(t.text, t))
         cur.expect(")")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ParseError(f"{images} is not a permutation of 1..{len(images)}", tok.span)
@@ -476,70 +486,6 @@ def _resolve(sf: SourceFile) -> None:
                 raise ParseError(f"goal {name}: no edge {step!r}", at("goal", name))
 
 
-# -- printing back ---------------------------------------------------------------
-
-def _format_obj(ast: ObjAst) -> str:
-    parts = []
-    for item in ast:
-        if item[0] == "letters":
-            parts.append("[" + " ".join(item[1]) + "]")
-        else:
-            parts.append(f"{item[1]}(" + " ".join(item[2]) + ")")
-    return " ; ".join(parts)
-
-
-def _format_word(letters: tuple[int, ...]) -> str:
-    return '"' + braid_str(BraidWord(max((abs(l) for l in letters), default=0) + 1, letters)) + '"'
-
-
-def _format_factor(f: tuple) -> str:
-    if f[0] == "id":
-        return "id"
-    if f[0] == "word":
-        return _format_word(f[1])
-    if f[0] == "perm":
-        return "perm(" + " ".join(str(i + 1) for i in f[1]) + ")"
-    if f[0] in ("q", "qinv"):
-        head = "q" if f[0] == "q" else "q^-1"
-        return head + "(" + " | ".join(" ".join(w) for w in f[1]) + ")"
-    if f[0] == "pf":
-        inner = ", ".join(_format_factor(g) for g in f[2])
-        return f"pf(outer={_format_factor(f[1])}; inner={inner})"
-    return f"braid({_format_obj(f[1])}, {_format_obj(f[2])})"
-
-
-def _format_mor(ast: MorAst) -> str:
-    return " . ".join(" ; ".join(_format_factor(f) for f in row[1]) for row in ast[1])
-
-
-def format_source(sf: SourceFile) -> str:
-    """Print a SourceFile back out; reparsing yields the same structure."""
-    out: list[str] = []
-    if sf.flavor is not None:
-        word = {v: k for k, v in FLAVOR_WORDS.items()}[sf.flavor]
-        out.append(f"flavor {word}")
-    for name, names in sf.gens:
-        out.append(f"gens {name} = {{ " + ", ".join(names) + " }")
-    if sf.objmap is not None:
-        name, src, tgt, pairs = sf.objmap
-        body = "; ".join(f"{a} -> {b}" for a, b in pairs)
-        out.append(f"map {name} : {src} -> {tgt} {{ {body} }}")
-    for name, ast in sf.nodes:
-        out.append(f"node {name} = {_format_obj(ast)}")
-    for name, src, tgt, ast in sf.edges:
-        out.append(f"edge {name} : {src} -> {tgt} = {_format_mor(ast)}")
-    for name, ast in sf.functors:
-        if ast[0] == "builtin":
-            out.append(f"functor {name} = {ast[1]} on {ast[2]}")
-        else:
-            out.append(f"functor {name} = compose({ast[1]}, {ast[2]})")
-    for name, names in sf.interps:
-        out.append(f"interp {name} = [" + " ".join(names) + "]")
-    for name, left, right in sf.goals:
-        out.append(f"goal {name} : " + " . ".join(left) + " == " + " . ".join(right))
-    return "\n".join(out) + "\n"
-
-
 # -- elaboration -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -578,13 +524,20 @@ def _take(remaining: list[ULetter], count: int, what: str, env: _Env) -> list[UL
 
 
 def _free_labels(chunk: Sequence[ULetter], env: _Env) -> tuple[str, ...]:
-    labels = []
-    for letter in chunk:
+    try:
+        norm = normalize_uobj(chunk, env.phi)
+    except UnknownName:
+        norm = ()
+    # a letter normalizes to at most one, so as many plain letters as the
+    # chunk has mean one each
+    labels = tuple(l.name for l in norm if type(l) is FreeLetter)
+    if len(labels) == len(chunk):
+        return labels
+    for letter in chunk:  # the first faulty letter gives the message
         norm = normalize_uobj((letter,), env.phi)
         if len(norm) != 1 or not isinstance(norm[0], FreeLetter):
             raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
-        labels.append(norm[0].name)
-    return tuple(labels)
+    return labels
 
 
 def _check_word_width(letters: tuple[int, ...], n: int, what: str, env: _Env) -> None:
@@ -592,25 +545,39 @@ def _check_word_width(letters: tuple[int, ...], n: int, what: str, env: _Env) ->
         raise ElabError(f"{what} uses strand {max(abs(l) for l in letters) + 1}, only {n} available", env.span)
 
 
+def _check_flavor(f: tuple, env: _Env) -> None:
+    if f[0] == "word" and env.flavor == "M":
+        raise ElabError("braid words need a symmetric or braided flavor", env.span)
+    if f[0] == "perm" and env.flavor != "S":
+        raise ElabError("perm(..) is only available in the symmetric flavor", env.span)
+
+
+def _content(f: tuple, n: int, env: _Env, word_what: str, perm_misfit: str):
+    """A braid word or perm(..) factor as the content of a morphism on n
+    strands: a braid in flavor B, a permutation in flavor S. perm_misfit
+    formats the error for a perm of the wrong length."""
+    _check_flavor(f, env)
+    if f[0] == "perm":
+        if len(f[1]) != n:
+            raise ElabError(perm_misfit.format(len(f[1]), n), env.span)
+        return f[1]
+    _check_word_width(f[1], n, word_what, env)
+    word = BraidWord(n, f[1])
+    return word if env.flavor == "B" else braid_perm(word)
+
+
+def _fmor_of_content(x: tuple[str, ...], content, env: _Env) -> FreeMor:
+    return fmor_of_braid(x, content) if env.flavor == "B" else fmor_of_perm(x, content)
+
+
 def _inner_mor(f: tuple, block: tuple[str, ...], env: _Env) -> FreeMor:
     """A factor elaborated as a plain morphism over the source generators,
     at the exact width of its block."""
     if f[0] == "id":
         return fmor_id(env.flavor, block)
-    if f[0] == "word":
-        if env.flavor == "M":
-            raise ElabError("braid words need a symmetric or braided flavor", env.span)
-        _check_word_width(f[1], len(block), "inner word", env)
-        word = BraidWord(len(block), f[1])
-        if env.flavor == "B":
-            return fmor_of_braid(block, word)
-        return fmor_of_perm(block, braid_perm(word))
-    if f[0] == "perm":
-        if env.flavor != "S":
-            raise ElabError("perm(..) is only available in the symmetric flavor", env.span)
-        if len(f[1]) != len(block):
-            raise ElabError(f"perm of length {len(f[1])} on a block of {len(block)}", env.span)
-        return fmor_of_perm(block, f[1])
+    if f[0] in ("word", "perm"):
+        content = _content(f, len(block), env, "inner word", "perm of length {} on a block of {}")
+        return _fmor_of_content(block, content, env)
     raise ElabError(f"{f[0]} cannot appear inside pf(..)", env.span)
 
 
@@ -619,18 +586,8 @@ def _outer_content(f: tuple, k: int, env: _Env):
         if env.flavor == "M":
             return None
         return identity_perm(k) if env.flavor == "S" else BraidWord(k, ())
-    if f[0] == "word":
-        if env.flavor == "M":
-            raise ElabError("braid words need a symmetric or braided flavor", env.span)
-        _check_word_width(f[1], k, "outer word", env)
-        word = BraidWord(k, f[1])
-        return word if env.flavor == "B" else braid_perm(word)
-    if f[0] == "perm":
-        if env.flavor != "S":
-            raise ElabError("perm(..) is only available in the symmetric flavor", env.span)
-        if len(f[1]) != k:
-            raise ElabError(f"outer perm of length {len(f[1])} on {k} blocks", env.span)
-        return f[1]
+    if f[0] in ("word", "perm"):
+        return _content(f, k, env, "outer word", "outer perm of length {} on {} blocks")
     raise ElabError(f"{f[0]} cannot be the outer part of pf(..)", env.span)
 
 
@@ -644,26 +601,20 @@ def _elab_factor(
             del remaining[:]
         return UId(normalize_uobj(chunk, phi)), chunk
 
-    if f[0] == "word":
-        if env.flavor == "M":
-            raise ElabError("braid words need a symmetric or braided flavor", env.span)
-        min_width = max((abs(l) for l in f[1]), default=0) + 1 if f[1] else 0
-        width = len(remaining) if final else min_width
-        if width < min_width:
-            raise ElabError(f"word needs {min_width} strands, {width} left", env.span)
-        chunk = _take(remaining, width, "braid word", env)
-        if not f[1]:
-            return UId(normalize_uobj(chunk, phi)), chunk
+    if f[0] in ("word", "perm"):
+        _check_flavor(f, env)
+        if f[0] == "perm":
+            chunk = _take(remaining, len(f[1]), "perm", env)
+        else:
+            min_width = max((abs(l) for l in f[1]), default=0) + 1 if f[1] else 0
+            width = len(remaining) if final else min_width
+            if width < min_width:
+                raise ElabError(f"word needs {min_width} strands, {width} left", env.span)
+            chunk = _take(remaining, width, "braid word", env)
+            if not f[1]:
+                return UId(normalize_uobj(chunk, phi)), chunk
         labels = _free_labels(chunk, env)
-        word = BraidWord(width, f[1])
-        u = fmor_of_braid(labels, word) if env.flavor == "B" else fmor_of_perm(labels, braid_perm(word))
-        return UFree(u), permute(chunk, underlying_permutation(u))
-
-    if f[0] == "perm":
-        if env.flavor != "S":
-            raise ElabError("perm(..) is only available in the symmetric flavor", env.span)
-        chunk = _take(remaining, len(f[1]), "perm", env)
-        u = fmor_of_perm(_free_labels(chunk, env), f[1])
+        u = _fmor_of_content(labels, _content(f, len(chunk), env, "word", ""), env)
         return UFree(u), permute(chunk, underlying_permutation(u))
 
     if f[0] in ("q", "qinv"):
@@ -872,8 +823,12 @@ def _color_enabled() -> bool | None:
 
 
 def _load(path: str) -> Diagram:
-    with open(path, encoding="utf-8") as handle:
-        return build_diagram(parse_source(handle.read()))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise CohError(f"{path}: {getattr(err, 'strerror', None) or err}") from None
+    return build_diagram(parse_source(text))
 
 
 _VERDICT_COLORS = {EQUAL: "green", EQUAL_IN_S_ONLY: "yellow"}
@@ -915,7 +870,13 @@ def check(file: str, symmetric_ok: bool, json_path: str | None) -> None:
         click.echo(json.dumps({"error": str(err)}))
         click.echo(f"error: {err}", err=True)
         sys.exit(2)
-    payload = [report_json(r) for r in reports]
+    blob = json.dumps([report_json(r) for r in reports], indent=2)
+    if json_path is not None:  # before any output, so that a failed write prints no verdicts
+        try:
+            with open(json_path, "w", encoding="utf-8") as handle:
+                handle.write(blob + "\n")
+        except OSError as err:
+            raise CohError(f"{json_path}: {err.strerror or err}") from None
     color = _color_enabled()
     for r in reports:
         tone = _VERDICT_COLORS.get(r.verdict, "red")
@@ -923,11 +884,7 @@ def check(file: str, symmetric_ok: bool, json_path: str | None) -> None:
             f"goal {r.goal}: " + click.style(r.verdict, fg=tone), err=True,
             color=color,
         )
-    blob = json.dumps(payload, indent=2)
     click.echo(blob)
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(blob + "\n")
     passing = {EQUAL, EQUAL_IN_S_ONLY} if symmetric_ok else {EQUAL}
     sys.exit(0 if all(r.verdict in passing for r in reports) else 1)
 

@@ -275,11 +275,11 @@ def lambda_eval(
 ) -> FreeMor:
     """Evaluate a term in the target algebra of the functor."""
     check_interp(F, interp, phi)
-    leaf = lambda g: _lambda_leaf(g, F, interp, phi)  # noqa: E731
+    leaf = lambda g, src, tgt: _lambda_leaf(g, src, F, interp, phi)  # noqa: E731
     return fold_typed(t, phi, F.flavor, leaf, fmor_compose, fmor_tensor)[2]
 
 
-def _lambda_leaf(t: UMor, F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap) -> FreeMor:
+def _lambda_leaf(t: UMor, src: UObj, F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap) -> FreeMor:
     flavor = F.flavor
     if isinstance(t, UFree):
         u = t.mor
@@ -306,7 +306,7 @@ def _lambda_leaf(t: UMor, F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap
         x = uobj_lambda(normalize_uobj(t.x, phi), F, interp)
         y = uobj_lambda(normalize_uobj(t.y, phi), F, interp)
         return fmor_braiding(x, y, flavor)
-    return fmor_id(flavor, uobj_lambda(normalize_uobj(t.obj, phi), F, interp))  # UId
+    return fmor_id(flavor, uobj_lambda(src, F, interp))  # UId
 
 
 def verify_lift(

@@ -31,8 +31,8 @@ one-letter blocks (zeta_flat); dissolving either gives the morphism back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .braid_core import braid_id, trusted
 from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
@@ -48,7 +48,6 @@ from .free_cat import (
     fmor2_shadow,
     fmor_braiding,
     fmor_compose,
-    fmor_equal,
     fmor_id,
     fmor_tensor,
     permutation_shadow,
@@ -57,11 +56,16 @@ from .free_cat import (
 
 @dataclass(frozen=True)
 class ObjMap:
-    """A total map between generator sets."""
+    """A total map between generator sets. It memoizes the normal forms
+    of letters, plain words and block tuples seen under it; the memos take
+    no part in equality, hashing or repr."""
 
     source: GenSet
     target: GenSet
     pairs: tuple[tuple[str, str], ...]
+    letters: dict[ULetter, UObj] = field(default_factory=dict, init=False, compare=False, repr=False)
+    free_words: dict[Obj, UObj] = field(default_factory=dict, init=False, compare=False, repr=False)
+    block_words: dict[Tuple2, UObj] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         seen = dict(self.pairs)
@@ -88,16 +92,14 @@ def identity_obj_map(gens: GenSet) -> ObjMap:
 # -- objects ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeLetter:
+class FreeLetter(NamedTuple):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class PhiLetter:
+class PhiLetter(NamedTuple):
     word: Obj
 
     def __str__(self) -> str:
@@ -112,33 +114,46 @@ def format_uobj(x: UObj) -> str:
     return "[" + " ; ".join(str(l) for l in x) + "]"
 
 
+def _normal_letter(letter: ULetter, phi: ObjMap) -> UObj:
+    if isinstance(letter, FreeLetter):
+        if letter.name not in phi.target:
+            raise UnknownName(f"unknown generator {letter.name!r} in {phi.target.name}")
+        return (letter,)
+    for a in letter.word:
+        if a not in phi.source:
+            raise UnknownName(f"unknown generator {a!r} in {phi.source.name}")
+    if len(letter.word) == 1:
+        return (FreeLetter(phi(letter.word[0])),)
+    return (letter,) if letter.word else ()
+
+
 def normalize_uobj(x: Iterable[ULetter], phi: ObjMap) -> UObj:
     """Canonical form: length-one formed letters become plain letters,
-    empty ones disappear. Letterwise, hence idempotent and a monoid map."""
+    empty ones disappear. Letterwise, hence idempotent and a monoid map.
+    Each letter is checked once per map; one that raises is not stored."""
+    memo = phi.letters
     out: list[ULetter] = []
     for letter in x:
-        if isinstance(letter, FreeLetter):
-            if letter.name not in phi.target:
-                raise UnknownName(f"unknown generator {letter.name!r} in {phi.target.name}")
-            out.append(letter)
-            continue
-        for a in letter.word:
-            if a not in phi.source:
-                raise UnknownName(f"unknown generator {a!r} in {phi.source.name}")
-        if len(letter.word) == 1:
-            out.append(FreeLetter(phi(letter.word[0])))
-        elif len(letter.word) >= 2:
-            out.append(letter)
+        norm = memo.get(letter)
+        if norm is None:
+            norm = memo[letter] = _normal_letter(letter, phi)
+        out += norm
     return tuple(out)
 
 
 def phi_object(blocks: Tuple2, phi: ObjMap) -> UObj:
     """The normalized word of formed letters for a tuple of source words."""
-    return normalize_uobj((PhiLetter(tuple(b)) for b in blocks), phi)
+    x = phi.block_words.get(blocks)
+    if x is None:
+        x = phi.block_words[blocks] = normalize_uobj([PhiLetter(tuple(b)) for b in blocks], phi)
+    return x
 
 
 def free_uobj(word: Obj, phi: ObjMap) -> UObj:
-    return normalize_uobj((FreeLetter(g) for g in word), phi)
+    x = phi.free_words.get(word)
+    if x is None:
+        x = phi.free_words[word] = normalize_uobj(map(FreeLetter, word), phi)
+    return x
 
 
 def uobj_dissolve(x: UObj, phi: ObjMap) -> Obj:
@@ -201,12 +216,6 @@ class UTensor:
 
 
 UMor = Union[UFree, UPhiFree, UPhiQ, UPhiQInv, UBraiding, UId, UCompose, UTensor]
-
-
-def kappa_embed(u: FreeMor) -> UMor:
-    """Free morphisms over the target generators embed as they are;
-    dissolution undoes the embedding exactly."""
-    return UFree(u)
 
 
 # -- the two sections ----------------------------------------------------------
@@ -299,7 +308,11 @@ def _bounds(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj]:
 
 def fold_typed(t: UMor, phi: ObjMap, flavor: Flavor, leaf: Callable, compose: Callable, tensor: Callable):
     """Validate and evaluate a term in one pass: (source, target, value),
-    the value folded from leaf, compose and tensor."""
+    the value folded from leaf(g, source, target), compose and tensor."""
+
+    def typed_leaf(g: UMor) -> tuple:
+        src, tgt = _bounds(g, phi, flavor)
+        return src, tgt, leaf(g, src, tgt)
 
     def after_first(a: tuple, f: tuple) -> tuple:
         if a[0] != f[1]:
@@ -310,7 +323,7 @@ def fold_typed(t: UMor, phi: ObjMap, flavor: Flavor, leaf: Callable, compose: Ca
 
     return fold(
         t,
-        lambda g: (*_bounds(g, phi, flavor), leaf(g)),
+        typed_leaf,
         after_first,
         lambda l, r: (l[0] + r[0], l[1] + r[1], tensor(l[2], r[2])),
     )
@@ -335,23 +348,21 @@ def _relabel(u: FreeMor, phi: ObjMap) -> FreeMor:
     return trusted(FreeMor, flavor=u.flavor, source=source, target=target, content=u.content)
 
 
-def _dissolve_leaf(t: UMor, phi: ObjMap, flavor: Flavor) -> FreeMor:
+def _dissolve_leaf(t: UMor, src: UObj, phi: ObjMap, flavor: Flavor) -> FreeMor:
     if isinstance(t, UFree):
         return t.mor
     if isinstance(t, UPhiFree):
         return _relabel(flatten_mu(t.mor), phi)
-    if isinstance(t, (UPhiQ, UPhiQInv)):
-        word = tuple(phi(a) for a in concat_blocks(t.blocks))
-        return fmor_id(flavor, word)
     if isinstance(t, UBraiding):
         x = uobj_dissolve(normalize_uobj(t.x, phi), phi)
         y = uobj_dissolve(normalize_uobj(t.y, phi), phi)
         return fmor_braiding(x, y, flavor)
-    return fmor_id(flavor, uobj_dissolve(normalize_uobj(t.obj, phi), phi))  # UId
+    return fmor_id(flavor, uobj_dissolve(src, phi))  # UPhiQ, UPhiQInv and UId dissolve to identities
 
 
 def _dissolution(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj, FreeMor]:
-    return fold_typed(t, phi, flavor, lambda g: _dissolve_leaf(g, phi, flavor), fmor_compose, fmor_tensor)
+    leaf = lambda g, src, tgt: _dissolve_leaf(g, src, phi, flavor)  # noqa: E731
+    return fold_typed(t, phi, flavor, leaf, fmor_compose, fmor_tensor)
 
 
 def dissolve(t: UMor, phi: ObjMap, flavor: Flavor) -> FreeMor:
@@ -374,57 +385,3 @@ def umor_shadow(t: UMor) -> UMor:
     """Forget braid data down to permutations, sending a braided term to
     the symmetric term with the same shape."""
     return fold(t, _shadow_leaf, UCompose, UTensor)
-
-
-def umor_equal(s: UMor, t: UMor, phi: ObjMap, flavor: Flavor) -> bool:
-    ss, st, su = _dissolution(s, phi, flavor)
-    ts, tt, tu = _dissolution(t, phi, flavor)
-    if (ss, st) != (ts, tt):
-        raise BoundaryError(
-            f"equality of non-parallel terms: {format_uobj(ss)} -> {format_uobj(st)}"
-            f" vs {format_uobj(ts)} -> {format_uobj(tt)}"
-        )
-    return fmor_equal(su, tu)
-
-
-# -- counting invariants ------------------------------------------------------
-
-
-def signature_of(
-    x: UObj,
-    weight: Mapping[str, int] | Callable[[str], int],
-    phi_weight: Mapping[Obj, int] | Callable[[Obj], int],
-) -> list[int]:
-    """Per-letter weights: plain letters through the generator weighting,
-    formed letters through the word weighting."""
-    wf = weight if callable(weight) else weight.__getitem__
-    pf = phi_weight if callable(phi_weight) else phi_weight.__getitem__
-    out: list[int] = []
-    for letter in x:
-        try:
-            out.append(wf(letter.name) if isinstance(letter, FreeLetter) else pf(letter.word))
-        except KeyError as exc:
-            raise UnknownName(f"no weight for letter {letter}") from exc
-    return out
-
-
-def is_tidy(x: UObj, unit_gens: Iterable[str]) -> bool:
-    """No formed letter built from unit-like generators alone."""
-    units = frozenset(unit_gens)
-    return not any(
-        isinstance(letter, PhiLetter) and all(a in units for a in letter.word) for letter in x
-    )
-
-
-def is_tidy_composite(
-    ts: Sequence[UMor], phi: ObjMap, flavor: Flavor, unit_gens: Iterable[str]
-) -> bool:
-    """Every step a product of generators, every boundary tidy."""
-    units = frozenset(unit_gens)
-    for t in ts:
-        src, tgt = validate_umor(t, phi, flavor)
-        if not (is_tidy(src, units) and is_tidy(tgt, units)):
-            return False
-        if fold(t, lambda g: False, lambda a, f: True, lambda l, r: l or r):  # a composite inside
-            return False
-    return True

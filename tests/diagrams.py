@@ -15,10 +15,11 @@ from cohcheck.ualg import (
     UPhiQ,
     UTensor,
     identity_obj_map,
-    kappa_embed,
     normalize_uobj,
     zeta,
 )
+
+from ualg_checks import kappa_embed
 
 AB = GenSet("AB", ("a", "b"))
 PHI_AB = identity_obj_map(AB)

@@ -40,14 +40,12 @@ from cohcheck.ualg import (
     PhiLetter,
     dissolve,
     identity_obj_map,
-    kappa_embed,
-    signature_of,
-    umor_equal,
     zeta,
     zeta_flat,
 )
 
 from termgen import random_fmor, random_obj
+from ualg_checks import kappa_embed, signature_of, umor_equal
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS = sorted(FIXTURES.glob("*.coh"))

@@ -33,7 +33,6 @@ from cohcheck.ualg import (
     dissolve,
     identity_obj_map,
     phi_object,
-    umor_equal,
     uobj_dissolve,
     validate_umor,
     zeta,
@@ -41,6 +40,7 @@ from cohcheck.ualg import (
 )
 
 from strategies import LABELS, fmor2s, fmors, objects, partitions
+from ualg_checks import umor_equal
 
 PHI = identity_obj_map(GenSet("AB", LABELS))
 

@@ -15,7 +15,6 @@ from cohcheck.braid_core import BraidWord, braid_equal, parse_braid
 from cohcheck.cli import (
     SourceFile,
     build_diagram,
-    format_source,
     main,
     parse_source,
     render_braid_ascii,
@@ -25,10 +24,18 @@ from cohcheck.diagram_check import EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, check_goal
 from cohcheck.errors import ElabError, ParseError, SourceSpan, StructureError
 from cohcheck.ualg import dissolve
 
+from source_printer import format_source
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS = sorted(p.name for p in FIXTURES.glob("*.coh"))
 # stdout and exit status of `coh check FILE` and `coh dissolve FILE` on the corpus
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_text(encoding="utf-8"))
+# the same for two long generated files in tests/long: one symmetric on 8
+# strands (not_equal), one braided on 4 (equal_in_s_only). perfbench/gen.py
+# made them with make_file(random.Random("golden-long:1"), ...) and the
+# shapes of the long_goals workload; the stdout predates the per-map memo.
+LONG = Path(__file__).resolve().parent / "long"
+GOLDEN_LONG = json.loads((Path(__file__).resolve().parent / "golden_long.json").read_text(encoding="utf-8"))
 
 
 def fixture_text(name: str) -> str:
@@ -195,6 +202,43 @@ def _tiny(body: str, flavor: str = "braided") -> str:
     )
 
 
+# an edge of one row against its nodes; each message predates the helper that
+# elaboration now shares for braid words and perm(..)
+FACTOR_ERRORS = [
+    ("monoidal", "[fa fb]", "[fb fa]", "s1", "braid words need a symmetric or braided flavor"),
+    ("braided", "[fa fb]", "[fb fa]", "perm(2 1)", "perm(..) is only available in the symmetric flavor"),
+    ("braided", "[fa]", "[fa]", "perm(2 1 3)", "perm(..) is only available in the symmetric flavor"),
+    ("monoidal", "[fa]", "[fa]", "s5", "braid words need a symmetric or braided flavor"),
+    ("braided", "[fa fb]", "[fa fb]", "s3", "word needs 4 strands, 2 left"),
+    ("braided", "[fa fb]", "[fa fb]", "s3 ; id", "braid word needs 4 letters, 2 left"),
+    ("symmetric", "[fa fb]", "[fa fb]", "perm(2 1 3)", "perm needs 3 letters, 2 left"),
+    ("symmetric", "phi(a b) ; [fa]", "[fa fb]", "perm(2 1)", "[phi(a b)] is not a single plain letter"),
+    ("symmetric", "phi() ; [fa]", "[fa]", "perm(2 1)", "[phi()] is not a single plain letter"),
+    ("symmetric", "[fa] ; phi(a b)", "[fa fb]", "s1", "[phi(a b)] is not a single plain letter"),
+    ("monoidal", "phi(a b)", "phi(a b)", 'pf(outer=id; inner="s1")', "braid words need a symmetric or braided flavor"),
+    ("braided", "phi(a b)", "phi(a b)", 'pf(outer=id; inner="s3")', "inner word uses strand 4, only 2 available"),
+    ("braided", "phi(a b)", "phi(a b)", "pf(outer=id; inner=perm(2 1))", "perm(..) is only available in the symmetric flavor"),
+    ("symmetric", "phi(a b)", "phi(a b)", "pf(outer=id; inner=perm(3 1 2))", "perm of length 3 on a block of 2"),
+    ("symmetric", "phi(a b)", "phi(a b)", "pf(outer=perm(2 1 3); inner=id)", "outer perm of length 3 on 1 blocks"),
+    ("braided", "phi(a b) ; phi(b a)", "phi(b a) ; phi(a b)", 'pf(outer="s2"; inner=id, id)', "outer word uses strand 3, only 2 available"),
+    ("braided", "phi(a b) ; phi(b a)", "phi(b a) ; phi(a b)", "pf(outer=perm(2 1); inner=id, id)", "perm(..) is only available in the symmetric flavor"),
+    ("monoidal", "phi(a b) ; phi(b a)", "phi(b a) ; phi(a b)", 'pf(outer="s1"; inner=id, id)', "braid words need a symmetric or braided flavor"),
+    ("braided", "phi(a b)", "phi(a b)", "pf(outer=id; inner=q(a | b))", "q cannot appear inside pf(..)"),
+    ("braided", "phi(a b)", "phi(a b)", "pf(outer=q(a | b); inner=id)", "q cannot be the outer part of pf(..)"),
+    ("braided", "[fa fb fa]", "[fb fa fa]", '"s1" ; id . s2 s1', "edge e ends at [fa ; fb ; fa], node m is [fb ; fa ; fa]"),
+    ("symmetric", "[fa fb fa]", "[fb fa fa]", "perm(2 1) ; id . s2 s1 ; id", "edge e ends at [fa ; fb ; fa], node m is [fb ; fa ; fa]"),
+    ("braided", "[fa fb]", "[fa fb]", 's1 ; ""', "edge e ends at [fb ; fa], node m is [fa ; fb]"),
+]
+
+
+@pytest.mark.parametrize("flavor, src, tgt, expr, message", FACTOR_ERRORS)
+def test_factor_errors(flavor, src, tgt, expr, message):
+    text = _tiny(f"node n = {src}\nnode m = {tgt}\nedge e : n -> m = {expr}\n", flavor)
+    with pytest.raises(ElabError) as err:
+        build_diagram(parse_source(text))
+    assert str(err.value) == f"line 7, col 1: {message}"
+
+
 def test_q_singleton_accepts_plain_letter():
     d = build_diagram(parse_source(_tiny(
         "node n1 = [fa fb]\nnode n2 = phi(a b)\n"
@@ -355,6 +399,13 @@ def test_cli_output_frozen(key):
     assert {"stdout": r.stdout, "exit": r.exit_code} == GOLDEN[key]
 
 
+@pytest.mark.parametrize("key", sorted(GOLDEN_LONG))
+def test_long_output_frozen(key):
+    command, name = key.split()
+    r = run(command, str(LONG / name))
+    assert {"stdout": r.stdout, "exit": r.exit_code} == GOLDEN_LONG[key]
+
+
 def test_check_json_file(tmp_path):
     out = tmp_path / "verdicts.json"
     r = run("check", str(FIXTURES / "mystery2.coh"), "--json", str(out))
@@ -493,10 +544,16 @@ def test_braid_eq_bad_letter():
         (["braid-eq", "s" + "1" * 5000, "", "--strands", "3"], 2),
         (["check", "nfold5000.coh"], 0),
         (["check", "nfold_digits.coh"], 2),
+        (["check", "not_utf8.coh"], 2),
+        (["check", str(FIXTURES / "pair.coh"), "--json", "missing/x.json"], 2),
+        (["check", "letter_digits.coh"], 2),
+        (["check", "strand_digits.coh"], 2),
     ],
     ids=[
         "braid-eq-negative-strands", "braid-eq-letter-past-int-limit",
         "check-nfold-5000", "check-nfold-count-past-int-limit",
+        "check-source-not-utf8", "check-json-unwritable",
+        "check-letter-past-int-limit", "check-strand-past-int-limit",
     ],
 )
 def test_exit_contract(tmp_path, args, status):
@@ -505,6 +562,14 @@ def test_exit_contract(tmp_path, args, status):
     text = fixture_text("cursed_lift.coh").split("interp")[0]
     for name, count in (("nfold5000.coh", "5000"), ("nfold_digits.coh", "1" * 5000)):
         (tmp_path / name).write_text(text.replace("nfold(4)", f"nfold({count})"), encoding="utf-8")
+    (tmp_path / "not_utf8.coh").write_bytes(b"\xff\xfe")
+    # a braid letter and a perm strand with more digits than int() converts
+    (tmp_path / "letter_digits.coh").write_text(
+        fixture_text("pair.coh").replace('"s2 s1 s3 s2"', '"s2 s' + "1" * 5000 + '"'), encoding="utf-8"
+    )
+    (tmp_path / "strand_digits.coh").write_text(
+        fixture_text("notequal.coh").replace("perm(2 1)", "perm(2 " + "1" * 5000 + ")"), encoding="utf-8"
+    )
     src = str(Path(cohcheck.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     r = subprocess.run(
@@ -512,6 +577,31 @@ def test_exit_contract(tmp_path, args, status):
     )
     assert r.returncode == status
     assert "Traceback" not in r.stderr
+    assert "internal error" not in r.stderr
+
+
+def test_unreadable_files_are_input_errors(tmp_path):
+    bad = tmp_path / "bad.coh"
+    bad.write_bytes(b"flavor braided\n\xff\xfe\n")
+    r = run("check", str(bad))
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte\n"
+    # a --json file that cannot be written: no verdicts on stdout, and no file
+    out = tmp_path / "missing" / "x.json"
+    r = run("check", str(FIXTURES / "pair.coh"), "--json", str(out))
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == f"error: {out}: No such file or directory\n"
+    r = run("check", str(FIXTURES / "pair.coh"), "--json", str(tmp_path))
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {tmp_path}: Is a directory\n")
+
+
+def test_numbers_past_int_limit_are_parse_errors():
+    text = fixture_text("notequal.coh").replace("perm(2 1)", "perm(2 " + "1" * 5000 + ")")
+    with pytest.raises(ParseError, match="line 10, col 31: a number of 5000 digits is too long"):
+        parse_source(text)
+    text = fixture_text("pair.coh").replace('"s2"', "s" + "1" * 4400, 1)
+    with pytest.raises(ParseError, match="line 14, col 23: a number of 4400 digits is too long"):
+        parse_source(text)
 
 
 def test_internal_error_exits_3(monkeypatch):

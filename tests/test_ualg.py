@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cohcheck.braid_core import block_braid, braid_equal, parse_braid
 from cohcheck.errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
 from cohcheck.free_cat import GenSet, fmor_compose, fmor_equal, fmor_id, fmor_of_braid, fmor_tensor, permutation_shadow
+from cohcheck.functor_eval import lambda_eval, make_builtin_spec
 from cohcheck.ualg import (
     FreeLetter,
     ObjMap,
@@ -25,13 +26,8 @@ from cohcheck.ualg import (
     format_uobj,
     free_uobj,
     identity_obj_map,
-    is_tidy,
-    is_tidy_composite,
-    kappa_embed,
     normalize_uobj,
     phi_object,
-    signature_of,
-    umor_equal,
     umor_shadow,
     uobj_dissolve,
     validate_umor,
@@ -40,6 +36,7 @@ from cohcheck.ualg import (
 
 from strategies import fmors
 from termgen import random_step, random_umor
+from ualg_checks import is_tidy, is_tidy_composite, kappa_embed, signature_of, umor_equal
 
 A = GenSet("A", ("a",))
 A2 = GenSet("A2", ("fa",))
@@ -332,3 +329,117 @@ def test_tidy_composites():
 
 def test_format_uobj():
     assert format_uobj((FreeLetter("fa"), PhiLetter(("a", "b")))) == "[fa ; phi(a b)]"
+
+
+# -- the per-map memo -----------------------------------------------------------
+
+
+@st.composite
+def letters(draw, phi: ObjMap):
+    if draw(st.booleans()):
+        return FreeLetter(draw(st.sampled_from(phi.target.names)))
+    return PhiLetter(tuple(draw(st.lists(st.sampled_from(phi.source.names), max_size=3))))
+
+
+def _same(x: tuple, y: tuple) -> bool:
+    """Equal letter for letter, and of the same record type."""
+    return x == y and [type(l) for l in x] == [type(l) for l in y]
+
+
+@given(st.data())
+def test_warm_map_normalizes_like_a_fresh_one(data):
+    phi = data.draw(st.sampled_from(MAPS))
+    warm = ObjMap(phi.source, phi.target, phi.pairs)
+    for _ in range(4):
+        x = tuple(data.draw(st.lists(letters(phi), max_size=6)))
+        word = tuple(data.draw(st.lists(st.sampled_from(phi.target.names), max_size=6)))
+        blocks = tuple(
+            tuple(b) for b in data.draw(st.lists(st.lists(st.sampled_from(phi.source.names), max_size=3), max_size=4))
+        )
+        for _ in range(2):  # the second round is served from the memo
+            fresh = ObjMap(phi.source, phi.target, phi.pairs)
+            assert _same(normalize_uobj(x, warm), normalize_uobj(x, fresh))
+            assert _same(free_uobj(word, warm), free_uobj(word, fresh))
+            assert _same(phi_object(blocks, warm), phi_object(blocks, fresh))
+    assert free_uobj(word, warm) is free_uobj(word, warm)
+    assert phi_object(blocks, warm) is phi_object(blocks, warm)
+
+
+@pytest.mark.parametrize(
+    "normalize, message",
+    [
+        (lambda phi: normalize_uobj((FreeLetter("f"), FreeLetter("z")), phi), "unknown generator 'z' in F1"),
+        (lambda phi: normalize_uobj((PhiLetter(("a", "z")),), phi), "unknown generator 'z' in AB"),
+        (lambda phi: free_uobj(("f", "zz"), phi), "unknown generator 'zz' in F1"),
+        (lambda phi: phi_object((("a",), ("b", "zz")), phi), "unknown generator 'zz' in AB"),
+    ],
+    ids=["free-letter", "formed-letter", "free-word", "blocks"],
+)
+def test_memo_keeps_nothing_faulty(normalize, message):
+    phi = ObjMap(AB, F1, PHI_FOLD.pairs)
+    for _ in range(3):
+        with pytest.raises(UnknownName) as err:
+            normalize(phi)
+        assert str(err.value) == message
+    faulty = (FreeLetter("z"), PhiLetter(("a", "z")), FreeLetter("zz"), PhiLetter(("b", "zz")))
+    assert not any(l in phi.letters for l in faulty)
+    assert ("f", "zz") not in phi.free_words
+    assert (("a",), ("b", "zz")) not in phi.block_words
+
+
+def test_warm_map_still_equals_a_cold_one():
+    cold = ObjMap(ABCD, FABCD, PHI_4.pairs)
+    warm = ObjMap(ABCD, FABCD, PHI_4.pairs)
+    normalize_uobj((FreeLetter("fa"), PhiLetter(("b",)), PhiLetter(("c", "d"))), warm)
+    free_uobj(("fa", "fb"), warm)
+    phi_object((("a", "b"), ("c",)), warm)
+    assert warm.letters and warm.free_words and warm.block_words and not cold.letters
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert len({warm, cold}) == 1
+
+
+# -- letter records ---------------------------------------------------------------
+
+
+def test_letter_records():
+    assert repr(FreeLetter("a")) == "FreeLetter(name='a')"
+    assert repr(PhiLetter(("a", "b"))) == "PhiLetter(word=('a', 'b'))"
+    assert (str(FreeLetter("a")), str(PhiLetter(("a", "b")))) == ("a", "phi(a b)")
+    assert FreeLetter("a") != PhiLetter(("a",))
+    assert FreeLetter("a") == FreeLetter("a") and PhiLetter(("a",)) == PhiLetter(("a",))
+    members = {FreeLetter("a"), PhiLetter(("a",)), FreeLetter("a"), PhiLetter(("a",)), PhiLetter(())}
+    assert len(members) == 3
+    keyed = {FreeLetter("a"): "plain", PhiLetter(("a",)): "formed"}
+    assert (keyed[FreeLetter("a")], keyed[PhiLetter(("a",))]) == ("plain", "formed")
+
+
+IDENTITY_S = make_builtin_spec("identity", AB, "S")
+INTERP_AB = {"a": ("a",), "b": ("b",)}
+FA, FB = FreeLetter("a"), FreeLetter("b")
+
+
+@pytest.mark.parametrize(
+    "term, kind, message",
+    [
+        (UId((FA, FreeLetter("z"))), UnknownName, "unknown generator 'z' in AB"),
+        (UTensor(UId((FA,)), UId((PhiLetter(("a", "q")),))), UnknownName, "unknown generator 'q' in AB"),
+        (
+            UTensor(UId((FA,)), UCompose(UId((FA, FB)), UId((PhiLetter(("b", "a")),)))),
+            BoundaryError,
+            "term.right: middle boundary mismatch: [phi(b a)] then [a ; b]",
+        ),
+    ],
+    ids=["unknown-plain-letter", "unknown-formed-letter", "middle-mismatch"],
+)
+def test_typed_fold_errors(term, kind, message):
+    # the same type and message through validation and through a functor
+    for evaluate in (
+        lambda: validate_umor(term, PHI_ID, "S"),
+        lambda: lambda_eval(term, IDENTITY_S, INTERP_AB, PHI_ID),
+    ):
+        with pytest.raises(kind) as err:
+            evaluate()
+        assert type(err.value) is kind
+        assert str(err.value) == message
