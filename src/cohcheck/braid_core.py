@@ -15,9 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParseError, StructureError
 
@@ -63,12 +62,22 @@ def perm_one_line(p: Perm) -> list[int]:
 _LETTER_RE = re.compile(r"s(\d+)(\^-1)?$")
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in B_n. letters[k] = i means sigma_i, -i means sigma_i^-1."""
-
+class _BraidWordFields(NamedTuple):
     n: int
     letters: tuple[int, ...] = ()
+
+
+class BraidWord(_BraidWordFields):
+    """A word in B_n. letters[k] = i means sigma_i, -i means sigma_i^-1.
+    A call checks the parts; the operations below build from valid parts
+    with tuple.__new__, which skips the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, letters: tuple[int, ...] = ()) -> BraidWord:
+        self = tuple.__new__(cls, (n, letters))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -106,39 +115,28 @@ def braid_id(n: int) -> BraidWord:
     return BraidWord(n)
 
 
-def trusted(cls, **fields):
-    """An instance of a frozen dataclass built from parts already known to
-    be valid: __post_init__ does not recheck them. Fields are set one by
-    one, not through __dict__, which would cost the instance its compact
-    shared-key dict."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def braid_compose(u: BraidWord, v: BraidWord) -> BraidWord:
     """u o v, with v applied first."""
     if u.n != v.n:
         raise StructureError(f"cannot compose braids on {u.n} and {v.n} strands")
-    return trusted(BraidWord, n=u.n, letters=u.letters + v.letters)
+    return tuple.__new__(BraidWord, (u.n, u.letters + v.letters))
 
 
 def braid_tensor(u: BraidWord, v: BraidWord) -> BraidWord:
     """Disjoint juxtaposition, v on strands shifted past u's."""
     shifted = tuple(l + u.n if l > 0 else l - u.n for l in v.letters)
-    return trusted(BraidWord, n=u.n + v.n, letters=u.letters + shifted)
+    return tuple.__new__(BraidWord, (u.n + v.n, u.letters + shifted))
 
 
 def braid_shift(w: BraidWord, off: int, n: int) -> BraidWord:
     """Reindex w to live on strands off+1..off+w.n inside B_n."""
     if off < 0 or off + w.n > n:
         raise StructureError(f"cannot shift a braid on {w.n} strands by {off} inside {n}")
-    return trusted(BraidWord, n=n, letters=tuple(l + off if l > 0 else l - off for l in w.letters))
+    return tuple.__new__(BraidWord, (n, tuple(l + off if l > 0 else l - off for l in w.letters)))
 
 
 def braid_inverse(w: BraidWord) -> BraidWord:
-    return trusted(BraidWord, n=w.n, letters=tuple(-l for l in reversed(w.letters)))
+    return tuple.__new__(BraidWord, (w.n, tuple(-l for l in reversed(w.letters))))
 
 
 def braid_perm(w: BraidWord) -> Perm:
@@ -247,8 +245,7 @@ def cable_perm(p: Perm, sizes: list[int]) -> Perm:
 # every left descent of y is a right descent of x.
 
 
-@dataclass(frozen=True)
-class BraidNormalForm:
+class BraidNormalForm(NamedTuple):
     n: int
     delta_power: int
     factors: tuple[Perm, ...]
@@ -362,20 +359,6 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
             factors.pop()
     out = tuple(tuple(_tau(p) if twists % 2 else p) for p, _ in factors)
     return BraidNormalForm(n, delta + twists, out)
-
-
-def nf_word(nf: BraidNormalForm) -> BraidWord:
-    """Expand a normal form back to a braid word."""
-    if nf.n <= 1:
-        return braid_id(nf.n)
-    delta_word = perm_braid(_w0(nf.n))
-    if nf.delta_power >= 0:
-        w = BraidWord(nf.n, delta_word.letters * nf.delta_power)
-    else:
-        w = BraidWord(nf.n, braid_inverse(delta_word).letters * (-nf.delta_power))
-    for f in nf.factors:
-        w = braid_compose(w, perm_braid(f))
-    return w
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:

@@ -260,7 +260,8 @@ def _parse_factor(cur: _Cursor) -> tuple:
     if _LETTER_RE.fullmatch(tok.text):
         letters = [_parse_word_token(tok.text, tok)]
         while cur.peek() is not None and _LETTER_RE.fullmatch(cur.peek() or ""):
-            letters.append(_parse_word_token(cur.next().text, tok))
+            tok = cur.next()
+            letters.append(_parse_word_token(tok.text, tok))
         return ("word", tuple(letters))
     if tok.text == "perm":
         cur.expect("(")

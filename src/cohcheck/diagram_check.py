@@ -17,7 +17,7 @@ from functools import reduce
 from typing import Mapping, Sequence
 
 from .braid_core import Perm, braid_str, normalize_braid, perm_braid, perm_one_line
-from .errors import BoundaryError, StructureError, PathError, UnknownName, UnsupportedOp
+from .errors import BoundaryError, PathError, UnknownName, UnsupportedOp
 from .free_cat import Flavor, FreeMor, Gen, Obj, fmor_compose, permutation_shadow, project_generator
 from .functor_eval import FunctorSpec, check_interp, lambda_eval
 from .ualg import ObjMap, UCompose, UId, UMor, UObj, _dissolution, format_uobj, umor_shadow
@@ -262,37 +262,3 @@ def diagram_shadow(d: Diagram) -> Diagram:
     edges = {name: Edge(e.name, e.source, e.target, umor_shadow(e.term)) for name, e in d.edges.items()}
     return Diagram("S", d.phi, dict(d.nodes), edges, d.goals, None, d.interp)
 
-
-def all_parallel_goals(d: Diagram, max_edges: int = 12) -> tuple[Goal, ...]:
-    """Every unordered pair of distinct simple parallel paths, as goals.
-    Capped by edge count: path enumeration is exponential in general."""
-    if len(d.edges) > max_edges:
-        raise StructureError(f"{len(d.edges)} edges is past the enumeration cap ({max_edges})")
-    outgoing: dict[str, list[Edge]] = {}
-    for e in d.edges.values():
-        outgoing.setdefault(e.source, []).append(e)
-    for es in outgoing.values():
-        es.sort(key=lambda e: e.name)
-
-    paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-
-    def walk(node: str, seen: tuple[str, ...], trail: tuple[str, ...]) -> None:
-        for e in outgoing.get(node, ()):
-            if e.target in seen:
-                continue
-            found = trail + (e.name,)
-            paths.setdefault((seen[0], e.target), []).append(found)
-            walk(e.target, seen + (e.target,), found)
-
-    for node in sorted(d.nodes):
-        walk(node, (node,), ())
-
-    goals: list[Goal] = []
-    for (src, tgt), found in sorted(paths.items()):
-        for i in range(len(found)):
-            for j in range(i + 1, len(found)):
-                # stored head-first; goals list edges outermost-first
-                left = tuple(reversed(found[i]))
-                right = tuple(reversed(found[j]))
-                goals.append(Goal(f"{src}..{tgt}#{len(goals)}", left, right))
-    return tuple(goals)

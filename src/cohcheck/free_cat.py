@@ -14,7 +14,7 @@ both levels; at depth two the "generators" are themselves tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 from .braid_core import (
     BraidWord,
@@ -34,7 +34,6 @@ from .braid_core import (
     inverse_perm,
     is_perm,
     permute,
-    trusted,
 )
 from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
 
@@ -64,33 +63,35 @@ class GenSet:
         return g in self.names
 
 
-def unit_embed(gens: GenSet, g: str) -> Obj:
-    """The length-one tuple on a generator."""
-    if g not in gens:
-        raise UnknownName(f"unknown generator {g!r} in {gens.name}")
-    return (g,)
-
-
 def _content_perm(flavor: Flavor, content: Content, n: int) -> Perm:
     if flavor == "M":
         return identity_perm(n)
-    if flavor == "S" and isinstance(content, tuple):
+    if flavor == "S" and type(content) is tuple:  # a BraidWord is a tuple too
         return content
     if flavor == "B" and isinstance(content, BraidWord):
         return braid_perm(content)
     raise StructureError(f"flavor {flavor} content expected, found {content!r}")
 
 
-@dataclass(frozen=True)
-class FreeMor:
-    """A morphism of the free algebra; target is stored redundantly, so
-    building one from outside revalidates the boundary. Composites and
-    tensors of valid morphisms are valid and are not rechecked."""
-
+class _FreeMorFields(NamedTuple):
     flavor: Flavor
     source: tuple[Label, ...]
     target: tuple[Label, ...]
     content: Content
+
+
+class FreeMor(_FreeMorFields):
+    """A morphism of the free algebra. The target is stored redundantly, so
+    a call FreeMor(...) checks the boundary against the content. Library
+    operations build from parts already known valid with tuple.__new__,
+    which skips the checks; so do the inherited _make and _replace."""
+
+    __slots__ = ()
+
+    def __new__(cls, flavor: Flavor, source: tuple[Label, ...], target: tuple[Label, ...], content: Content) -> FreeMor:
+        self = tuple.__new__(cls, (flavor, source, target, content))
+        self.__post_init__()  # looked up on the class on every call, so that it can be hooked
+        return self
 
     def __post_init__(self) -> None:
         n = len(self.source)
@@ -99,7 +100,7 @@ class FreeMor:
                 raise StructureError("flavor M admits only identities")
             return
         if self.flavor == "S":
-            if not (isinstance(self.content, tuple) and len(self.content) == n and is_perm(self.content)):
+            if not (type(self.content) is tuple and len(self.content) == n and is_perm(self.content)):
                 raise StructureError("flavor S needs a permutation of the source length")
         elif self.flavor == "B":
             if not isinstance(self.content, BraidWord) or self.content.n != n:
@@ -123,7 +124,7 @@ def _by_flavor(flavor: Flavor, on_perms: Callable, on_braids: Callable, *args) -
 
 def fmor_id(flavor: Flavor, x: tuple[Label, ...]) -> FreeMor:
     content = _by_flavor(flavor, identity_perm, braid_id, len(x))
-    return trusted(FreeMor, flavor=flavor, source=x, target=x, content=content)
+    return tuple.__new__(FreeMor, (flavor, x, x, content))
 
 
 def fmor_of_perm(x: tuple[Label, ...], p: Perm) -> FreeMor:
@@ -134,7 +135,7 @@ def fmor_of_braid(x: tuple[Label, ...], w: BraidWord) -> FreeMor:
     """The target is built from the word, so only the width is checked."""
     if not isinstance(w, BraidWord) or w.n != len(x):
         raise StructureError("flavor B needs a braid word on the source strands")
-    return trusted(FreeMor, flavor="B", source=x, target=tuple(permute(x, braid_perm(w))), content=w)
+    return tuple.__new__(FreeMor, ("B", x, tuple(permute(x, braid_perm(w))), w))
 
 
 def _check_flavors(u: FreeMor | FreeMor2, v: FreeMor | FreeMor2) -> None:
@@ -148,7 +149,7 @@ def fmor_compose(u: FreeMor, v: FreeMor) -> FreeMor:
     if u.source != v.target:
         raise BoundaryError("compose: source of the outer morphism differs from target of the inner")
     content = _by_flavor(u.flavor, compose_perm, braid_compose, u.content, v.content)
-    return trusted(FreeMor, flavor=u.flavor, source=v.source, target=u.target, content=content)
+    return tuple.__new__(FreeMor, (u.flavor, v.source, u.target, content))
 
 
 def _perm_tensor(p: Perm, q: Perm) -> Perm:
@@ -159,12 +160,12 @@ def _perm_tensor(p: Perm, q: Perm) -> Perm:
 def fmor_tensor(u: FreeMor, v: FreeMor) -> FreeMor:
     _check_flavors(u, v)
     content = _by_flavor(u.flavor, _perm_tensor, braid_tensor, u.content, v.content)
-    source, target = u.source + v.source, u.target + v.target
-    return trusted(FreeMor, flavor=u.flavor, source=source, target=target, content=content)
+    return tuple.__new__(FreeMor, (u.flavor, u.source + v.source, u.target + v.target, content))
 
 
 def fmor_inverse(u: FreeMor) -> FreeMor:
-    return FreeMor(u.flavor, u.target, u.source, _by_flavor(u.flavor, inverse_perm, braid_inverse, u.content))
+    content = _by_flavor(u.flavor, inverse_perm, braid_inverse, u.content)
+    return tuple.__new__(FreeMor, (u.flavor, u.target, u.source, content))
 
 
 def fmor_braiding(x: tuple[Label, ...], y: tuple[Label, ...], flavor: Flavor) -> FreeMor:
@@ -172,7 +173,7 @@ def fmor_braiding(x: tuple[Label, ...], y: tuple[Label, ...], flavor: Flavor) ->
     if flavor == "M":
         raise UnsupportedOp("flavor M has no braiding")
     content = _by_flavor(flavor, block_perm, block_braid, len(x), len(y))
-    return trusted(FreeMor, flavor=flavor, source=x + y, target=y + x, content=content)
+    return tuple.__new__(FreeMor, (flavor, x + y, y + x, content))
 
 
 def underlying_permutation(u: FreeMor) -> Perm:
@@ -182,7 +183,7 @@ def underlying_permutation(u: FreeMor) -> Perm:
 def permutation_shadow(u: FreeMor) -> FreeMor:
     """The flavor-S morphism with the same boundary and underlying
     permutation; used to state symmetric-level facts about braids."""
-    return FreeMor("S", u.source, u.target, underlying_permutation(u))
+    return tuple.__new__(FreeMor, ("S", u.source, u.target, underlying_permutation(u)))
 
 
 def fmor_equal(u: FreeMor, v: FreeMor) -> bool:
@@ -216,17 +217,28 @@ def concat_blocks(blocks: Tuple2) -> Obj:
     return tuple(g for b in blocks for g in b)
 
 
-@dataclass(frozen=True)
-class FreeMor2:
-    """A morphism of the depth-two free algebra: an outer permutation or
-    braid of the blocks, plus one inner morphism per block. Inner i maps
-    source block i to the target block at its image position."""
-
+class _FreeMor2Fields(NamedTuple):
     flavor: Flavor
     source: Tuple2
     target: Tuple2
     outer: Content
     inners: tuple[FreeMor, ...]
+
+
+class FreeMor2(_FreeMor2Fields):
+    """A morphism of the depth-two free algebra: an outer permutation or
+    braid of the blocks, plus one inner morphism per block. Inner i maps
+    source block i to the target block at its image position. A call
+    checks the parts, as FreeMor's does."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, flavor: Flavor, source: Tuple2, target: Tuple2, outer: Content, inners: tuple[FreeMor, ...]
+    ) -> FreeMor2:
+        self = tuple.__new__(cls, (flavor, source, target, outer, inners))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         m = len(self.source)
@@ -236,7 +248,7 @@ class FreeMor2:
             if self.outer is not None:
                 raise StructureError("flavor M admits only identity outer content")
         elif self.flavor == "S":
-            if not (isinstance(self.outer, tuple) and len(self.outer) == m and is_perm(self.outer)):
+            if not (type(self.outer) is tuple and len(self.outer) == m and is_perm(self.outer)):
                 raise StructureError("flavor S needs an outer permutation of the blocks")
         elif self.flavor == "B":
             if not isinstance(self.outer, BraidWord) or self.outer.n != m:
@@ -251,39 +263,11 @@ class FreeMor2:
                 raise StructureError(f"inner morphism {i} does not match its blocks")
 
 
-def fmor2_id(flavor: Flavor, blocks: Tuple2) -> FreeMor2:
-    outer = fmor_id(flavor, blocks).content
-    return FreeMor2(flavor, blocks, blocks, outer, tuple(fmor_id(flavor, b) for b in blocks))
-
-
-def fmor2_compose(u: FreeMor2, v: FreeMor2) -> FreeMor2:
-    """u after v; inner i of the composite routes through v's image block."""
-    _check_flavors(u, v)
-    if u.source != v.target:
-        raise BoundaryError("compose: source of the outer morphism differs from target of the inner")
-    pv = _content_perm(v.flavor, v.outer, len(v.source))
-    outer = _by_flavor(u.flavor, compose_perm, braid_compose, u.outer, v.outer)
-    inners = tuple(fmor_compose(u.inners[pv[i]], v.inners[i]) for i in range(len(v.source)))
-    return FreeMor2(u.flavor, v.source, u.target, outer, inners)
-
-
 def fmor2_shadow(u: FreeMor2) -> FreeMor2:
     """Forget braiding blockwise: the flavor-S morphism with the same
     boundary, outer permutation, and shadowed inners."""
-    m = len(u.source)
-    return FreeMor2(
-        "S",
-        u.source,
-        u.target,
-        _content_perm(u.flavor, u.outer, m),
-        tuple(permutation_shadow(i) for i in u.inners),
-    )
-
-
-def fmor2_tensor(u: FreeMor2, v: FreeMor2) -> FreeMor2:
-    _check_flavors(u, v)
-    outer = _by_flavor(u.flavor, _perm_tensor, braid_tensor, u.outer, v.outer)
-    return FreeMor2(u.flavor, u.source + v.source, u.target + v.target, outer, u.inners + v.inners)
+    outer = _content_perm(u.flavor, u.outer, len(u.source))
+    return tuple.__new__(FreeMor2, ("S", u.source, u.target, outer, tuple(map(permutation_shadow, u.inners))))
 
 
 def flatten_mu(u: FreeMor2) -> FreeMor:
@@ -295,7 +279,7 @@ def flatten_mu(u: FreeMor2) -> FreeMor:
     for inner in u.inners:
         inner_sum = fmor_tensor(inner_sum, inner)
     content = _by_flavor(flavor, cable_perm, cable, u.outer, sizes)
-    cabled = FreeMor(flavor, inner_sum.target, concat_blocks(u.target), content)
+    cabled = tuple.__new__(FreeMor, (flavor, inner_sum.target, concat_blocks(u.target), content))
     return fmor_compose(cabled, inner_sum)
 
 

@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .braid_core import trusted
 from .errors import BoundaryError, FlavorError, InterpError, StructureError, UnsupportedOp
 from .free_cat import (
     Content,
@@ -133,7 +132,7 @@ def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> Fun
 
     def f2(x: Obj, y: Obj) -> FreeMor:
         content = shuffle(len(x), len(y))
-        return trusted(FreeMor, flavor=flavor, source=x * n + y * n, target=(x + y) * n, content=content)
+        return tuple.__new__(FreeMor, (flavor, x * n + y * n, (x + y) * n, content))
 
     return FunctorSpec(
         flavor,
@@ -308,9 +307,3 @@ def _lambda_leaf(t: UMor, src: UObj, F: FunctorSpec, interp: Mapping[str, Obj], 
         return fmor_braiding(x, y, flavor)
     return fmor_id(flavor, uobj_lambda(src, F, interp))  # UId
 
-
-def verify_lift(
-    t: UMor, claimed: FreeMor, F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap
-) -> bool:
-    """Does the term evaluate to the morphism it claims to present?"""
-    return fmor_equal(lambda_eval(t, F, interp, phi), claimed)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .braid_core import braid_id, trusted
+from .braid_core import braid_id
 from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
 from .free_cat import (
     Flavor,
@@ -345,7 +345,7 @@ def validate_umor(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj]:
 def _relabel(u: FreeMor, phi: ObjMap) -> FreeMor:
     """Relabelling a valid morphism pointwise keeps it valid."""
     source, target = tuple(phi(g) for g in u.source), tuple(phi(g) for g in u.target)
-    return trusted(FreeMor, flavor=u.flavor, source=source, target=target, content=u.content)
+    return tuple.__new__(FreeMor, (u.flavor, source, target, u.content))
 
 
 def _dissolve_leaf(t: UMor, src: UObj, phi: ObjMap, flavor: Flavor) -> FreeMor:

@@ -19,6 +19,7 @@ from cohcheck.braid_core import (
     braid_id,
     braid_inverse,
     braid_perm,
+    braid_shift,
     braid_str,
     braid_tensor,
     cable,
@@ -26,7 +27,6 @@ from cohcheck.braid_core import (
     compose_perm,
     identity_perm,
     inverse_perm,
-    nf_word,
     normalize_braid,
     parse_braid,
     perm_braid,
@@ -37,6 +37,7 @@ from cohcheck.braid_core import (
 from cohcheck.errors import ParseError, StructureError
 
 import braid_oracle
+from lib_extras import nf_word
 
 
 # -- strategies ---------------------------------------------------------------
@@ -157,6 +158,33 @@ def test_letter_out_of_range_raises_structure_error() -> None:
     # a CohError, not an assert, so that the check survives python -O
     with pytest.raises(StructureError):
         BraidWord(3, (3,))
+
+
+@pytest.mark.parametrize("n, letters", [(2, (2,)), (3, (3,)), (3, (0,)), (-1, ())])
+def test_braid_word_call_validates(n: int, letters: tuple[int, ...]) -> None:
+    with pytest.raises(StructureError):
+        BraidWord(n, letters)
+    with pytest.raises(StructureError):
+        BraidWord(n=n, letters=letters + (1,))
+
+
+def test_braid_records() -> None:
+    w = BraidWord(3, (1, -2))
+    nf = normalize_braid(w)
+    assert repr(w) == "BraidWord(n=3, letters=(1, -2))" and str(w) == "s1 s2^-1"
+    assert repr(nf) == "BraidNormalForm(n=3, delta_power=-1, factors=((0, 2, 1), (2, 0, 1)))"
+    for record, field in ((w, "letters"), (nf, "factors")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    again = BraidWord(3, (1, -2))
+    assert hash(w) == hash(again) and {w: 1}[again] == 1 and {w, again} == {w}
+    assert {nf, normalize_braid(again)} == {nf}
+    # the trusted builders give records, not plain tuples, equal to what
+    # the validating constructor builds from the same parts
+    for u in (braid_compose(w, w), braid_tensor(w, w), braid_shift(w, 1, 5), braid_inverse(w)):
+        assert type(u) is BraidWord and u == BraidWord(*u)
 
 
 @given(braid_words())

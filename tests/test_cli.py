@@ -121,6 +121,22 @@ def test_tokenizer_error_spans(text, message, line, col):
     assert str(exc.value) == f"line {line}, col {col}: {message}"
 
 
+@pytest.mark.parametrize(
+    "expr, message, col",
+    [
+        ("s0 s1", "braid letters are numbered from 1", 19),
+        ("s1 s0", "braid letters are numbered from 1", 22),
+        ("s1 s2^-1 s0 s3", "braid letters are numbered from 1", 28),
+        ("s2 s" + "1" * 5000, "a number of 5000 digits is too long", 22),
+    ],
+    ids=["first-letter", "second-letter", "third-letter", "long-number-second"],
+)
+def test_bare_word_errors_point_at_their_letter(expr, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"edge e : n -> n = {expr}")
+    assert (exc.value.message, exc.value.span.line, exc.value.span.col) == (message, 1, col)
+
+
 def test_bad_characters_in_comments_are_ignored():
     sf = parse_source('flavor braided # $ @ \u00e9 "\ngens A = { a } # bad $ here\n')
     assert (sf.flavor, sf.gens) == ("B", (("A", ("a",)),))

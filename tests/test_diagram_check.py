@@ -13,7 +13,6 @@ from cohcheck.diagram_check import (
     Diagram,
     Edge,
     Goal,
-    all_parallel_goals,
     check_goal,
     compose_path,
     diagram_shadow,
@@ -28,6 +27,7 @@ from cohcheck.free_cat import fmor_equal
 from cohcheck.functor_eval import make_builtin_spec
 from cohcheck.ualg import UId, dissolve
 
+from lib_extras import all_parallel_goals
 from diagrams import (
     CYCLIC_LEFT,
     CYCLIC_RIGHT,

@@ -16,9 +16,7 @@ from cohcheck.free_cat import (
     GenSet,
     Flavor,
     flatten_mu,
-    fmor2_compose,
-    fmor2_id,
-    fmor2_tensor,
+    fmor2_shadow,
     fmor_braiding,
     fmor_compose,
     fmor_equal,
@@ -30,9 +28,9 @@ from cohcheck.free_cat import (
     permutation_shadow,
     project_generator,
     underlying_permutation,
-    unit_embed,
 )
 
+from lib_extras import fmor2_compose, fmor2_id, fmor2_tensor, unit_embed
 from strategies import fmor2s, fmors, objects
 
 AB = GenSet("AB", ("a", "b"))
@@ -78,11 +76,20 @@ def test_equality_needs_parallel():
         fmor_equal(u, v)
 
 
+def _validated(u):
+    """u, after checking that it is the record the validating constructor
+    builds from its parts; tuple equality alone would accept a plain tuple."""
+    assert type(u) in (FreeMor, FreeMor2)
+    assert u == type(u)(*u)
+    return u
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_trusted_constructors_match_validated(seed):
-    # fmor_id, fmor_braiding and fmor_of_braid skip FreeMor's checks: each
-    # result must be what the validating constructor accepts from the same
-    # parts
+    # fmor_id, fmor_braiding, fmor_of_braid, fmor_compose, fmor_tensor,
+    # fmor_inverse, permutation_shadow, fmor2_shadow and flatten_mu skip
+    # the records' checks: each result must be what the validating
+    # constructor accepts from the same parts
     rng = random.Random(seed)
 
     def word() -> tuple:
@@ -92,16 +99,29 @@ def test_trusted_constructors_match_validated(seed):
     for _ in range(25):
         x, y = word(), word()
         for flavor in FLAVORS:
-            u = fmor_id(flavor, x)
-            assert u == FreeMor(flavor, x, x, u.content)
+            u = _validated(fmor_id(flavor, x))
+            assert (u.flavor, u.source, u.target) == (flavor, x, x)
             assert underlying_permutation(u) == tuple(range(len(x)))
+            _validated(permutation_shadow(u))
+            _validated(flatten_mu(FreeMor2(flavor, (x,), (x,), fmor_id(flavor, ("b",)).content, (u,))))
         for flavor in ("S", "B"):
-            u = fmor_braiding(x, y, flavor)
-            assert u == FreeMor(flavor, x + y, y + x, u.content)
+            u = _validated(fmor_braiding(x, y, flavor))
+            assert (u.source, u.target) == (x + y, y + x)
+            v = _validated(fmor_inverse(u))
+            _validated(fmor_compose(v, u))
+            _validated(fmor_tensor(u, v))
+            _validated(permutation_shadow(u))
+            outer = (1, 0) if flavor == "S" else BraidWord(2, (rng.choice((1, -1)),))
+            u2 = _validated(FreeMor2(flavor, (x + y, y), (y, y + x), outer, (u, fmor_id(flavor, y))))
+            _validated(fmor2_shadow(u2))
+            _validated(flatten_mu(u2))
         n = len(x)
         w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randint(0, 8)) if n > 1))
-        u = fmor_of_braid(x, w)
-        assert u == FreeMor("B", x, u.target, w)
+        u = _validated(fmor_of_braid(x, w))
+        assert (u.flavor, u.source) == ("B", x)
+        assert u.content is w
+        _validated(fmor_inverse(u))
+        _validated(permutation_shadow(u))
     for n in (2, 4):  # too few strands, and too many
         with pytest.raises(StructureError, match="braid word on the source strands"):
             fmor_of_braid(("a", "b", "c"), BraidWord(n, (1,)))
@@ -109,6 +129,49 @@ def test_trusted_constructors_match_validated(seed):
         fmor_id("X", ("a",))
     with pytest.raises(FlavorError):
         fmor_braiding(("a",), ("b",), "X")
+
+
+def test_flavor_s_content_is_a_plain_tuple():
+    # a BraidWord is a tuple of two entries: it must not pass for a
+    # permutation of two points
+    ab, blocks = ("a", "b"), (("a",), ("b",))
+    with pytest.raises(StructureError, match="flavor S needs a permutation"):
+        FreeMor("S", ab, ab, BraidWord(2, ()))
+    inners = (fmor_id("S", ("a",)), fmor_id("S", ("b",)))
+    with pytest.raises(StructureError, match="flavor S needs an outer permutation"):
+        FreeMor2("S", blocks, blocks, BraidWord(2, ()), inners)
+    with pytest.raises(StructureError, match="flavor S needs a permutation"):
+        FreeMor("S", ab, ab, [0, 1])
+    FreeMor("S", ab, ab, (0, 1))
+
+
+def test_records_are_frozen():
+    u = fmor_braiding(("a",), ("b",), "B")
+    u2 = FreeMor2("S", (("a",),), (("a",),), (0,), (fmor_id("S", ("a",)),))
+    for record, field in ((u, "target"), (u2, "outer")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_records_hash_by_value():
+    u = fmor_braiding(("a",), ("b",), "B")
+    same = FreeMor("B", ("a", "b"), ("b", "a"), BraidWord(2, (1,)))
+    assert u == same and u is not same and hash(u) == hash(same)
+    assert {u, same} == {u} and {u: 1}[same] == 1
+    assert u != fmor_inverse(u) and fmor_inverse(u) not in {u}
+    assert len({fmor_id("S", ("a", "b")), FreeMor("S", ("a", "b"), ("a", "b"), (0, 1))}) == 1
+
+
+def test_record_reprs():
+    u = fmor_id("B", ("a",))
+    assert repr(u) == "FreeMor(flavor='B', source=('a',), target=('a',), content=BraidWord(n=1, letters=()))"
+    u2 = FreeMor2("S", (("a",),), (("a",),), (0,), (fmor_id("S", ("a",)),))
+    assert repr(u2) == (
+        "FreeMor2(flavor='S', source=(('a',),), target=(('a',),), outer=(0,),"
+        " inners=(FreeMor(flavor='S', source=('a',), target=('a',), content=(0,)),))"
+    )
 
 
 # -- frozen composites --------------------------------------------------------

@@ -27,7 +27,6 @@ from cohcheck.functor_eval import (
     f_bullet,
     lambda_eval,
     make_builtin_spec,
-    verify_lift,
 )
 from cohcheck.ualg import (
     FreeLetter,
@@ -43,6 +42,7 @@ from cohcheck.ualg import (
     zeta,
 )
 
+from lib_extras import verify_lift
 from strategies import fmors
 from termgen import random_umor
 
