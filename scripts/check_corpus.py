@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from cohcheck.cli import build_diagram, parse_source
+from cohcheck.cli import _load
 from cohcheck.diagram_check import EQUAL, check_goal, diagram_shadow, explain_goal
 from cohcheck.errors import CohError
 
@@ -40,7 +40,7 @@ def run(cfg: CorpusConfig) -> int:
         start = time.perf_counter()
         error: CohError | None = None
         try:
-            d = build_diagram(parse_source(path.read_text(encoding="utf-8")))
+            d = _load(str(path))  # an unreadable file is a CohError too
             reports = [explain_goal(d, goal) for goal in d.goals]
         except CohError as err:
             error = err

@@ -24,7 +24,7 @@ Perm = tuple[int, ...]
 
 
 def is_perm(p: Perm) -> bool:
-    return sorted(p) == list(range(len(p)))
+    return set(map(type, p)) <= {int} and sorted(p) == list(range(len(p)))
 
 
 def identity_perm(n: int) -> Perm:
@@ -43,15 +43,6 @@ def inverse_perm(p: Perm) -> Perm:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
-
-
-def transposition(n: int, j: int) -> Perm:
-    """Swap of positions j and j+1, 0-indexed."""
-    if not 0 <= j < n - 1:
-        raise StructureError(f"no transposition at {j} on {n} points")
-    p = list(range(n))
-    p[j], p[j + 1] = p[j + 1], p[j]
-    return tuple(p)
 
 
 def perm_one_line(p: Perm) -> list[int]:
@@ -80,11 +71,11 @@ class BraidWord(_BraidWordFields):
         return self
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise StructureError(f"a braid on {self.n} strands")
+        if type(self.n) is not int or self.n < 0:
+            raise StructureError(f"a braid on {self.n!r} strands")
         for l in self.letters:
-            if not 0 < abs(l) < self.n:
-                raise StructureError(f"letter {l} out of range for {self.n} strands")
+            if type(l) is not int or not 0 < abs(l) < self.n:
+                raise StructureError(f"letter {l!r} out of range for {self.n} strands")
 
     def __str__(self) -> str:
         return braid_str(self)
@@ -153,23 +144,22 @@ def braid_perm(w: BraidWord) -> Perm:
     return tuple(pos)
 
 
-def left_descents(p: Perm) -> set[int]:
-    q = inverse_perm(p)
-    return {j for j in range(len(p) - 1) if q[j] > q[j + 1]}
-
-
 def perm_braid(p: Perm) -> BraidWord:
-    """A positive reduced word with underlying permutation p."""
-    n = len(p)
+    """A positive reduced word with underlying permutation p. Each letter is
+    the leftmost left descent j of what remains, q = t_j o q', which swaps
+    entries j and j+1 of q's inverse: so one pass sorts the inverse by
+    adjacent swaps, always at the leftmost descent, stepping back after each."""
+    r = list(inverse_perm(p))
     letters = []
-    q = p
-    ident = identity_perm(n)
-    while q != ident:
-        # strip a letter from the left of the word: q = t_j o q'
-        j = min(left_descents(q))
-        letters.append(j + 1)
-        q = compose_perm(transposition(n, j), q)
-    return BraidWord(n, tuple(letters))
+    j = 0
+    while j < len(r) - 1:
+        if r[j] > r[j + 1]:
+            r[j], r[j + 1] = r[j + 1], r[j]
+            letters.append(j + 1)
+            j = j - 1 if j else 0
+        else:
+            j += 1
+    return BraidWord(len(p), tuple(letters))
 
 
 # -- block braidings and cabling ---------------------------------------------

@@ -55,7 +55,8 @@ from .diagram_check import (
 )
 from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError, UnknownName
 from .free_cat import (
-    Flavor, FreeMor, FreeMor2, GenSet, fmor_id, fmor_of_braid, fmor_of_perm, underlying_permutation,
+    Flavor, FreeMor, FreeMor2, GenSet, _content_perm, display_braid, fmor_id, fmor_of_braid, fmor_of_perm,
+    underlying_permutation,
 )
 from .functor_eval import FunctorSpec, compose_specs, make_builtin_spec
 from .ualg import (
@@ -88,6 +89,11 @@ _TOKEN_RE = re.compile(
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 FLAVOR_WORDS = {"braided": "B", "symmetric": "S", "monoidal": "M"}
+# every declaration but flavor starts with its name
+_DECLARED_NAMES = {
+    "gens": "a generator set name", "map": "a map name", "node": "a node name", "edge": "an edge name",
+    "functor": "a functor name", "interp": "a letter", "goal": "a goal name",
+}
 
 
 class Token(NamedTuple):
@@ -334,17 +340,19 @@ def parse_source(text: str) -> SourceFile:
     goals: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
     spans: dict[tuple[str, str], SourceSpan] = {}
 
-    def declare(kind: str, name: str, span: SourceSpan) -> None:
-        if (kind, name) in spans:
-            raise ParseError(f"{kind} {name!r} already declared at {spans[kind, name]}", span)
-        spans[kind, name] = span
-
     for lineno, line in enumerate(text.splitlines(), start=1):
         toks = _tokenize_line(line, lineno)
         if not toks:
             continue
         cur = _Cursor(toks, SourceSpan(lineno, len(line) + 1))
         head = cur.next()
+        if head.text == "map" and objmap is not None:
+            raise ParseError("a file declares a single map", head.span)
+        if head.text in _DECLARED_NAMES:
+            name = cur.name(_DECLARED_NAMES[head.text]).text
+            if (head.text, name) in spans:
+                raise ParseError(f"{head.text} {name!r} already declared at {spans[head.text, name]}", head.span)
+            spans[head.text, name] = head.span
         if head.text == "flavor":
             word = cur.name("a flavor").text
             if word not in FLAVOR_WORDS:
@@ -353,16 +361,10 @@ def parse_source(text: str) -> SourceFile:
                 raise ParseError("flavor already declared", head.span)
             flavor = FLAVOR_WORDS[word]
         elif head.text == "gens":
-            name = cur.name("a generator set name").text
-            declare("gens", name, head.span)
             cur.expect("=")
             cur.expect("{")
             gens.append((name, cur.names("}")))
         elif head.text == "map":
-            if objmap is not None:
-                raise ParseError("a file declares a single map", head.span)
-            name = cur.name("a map name").text
-            declare("map", name, head.span)
             cur.expect(":")
             src = cur.name("a generator set").text
             cur.expect("->")
@@ -380,13 +382,9 @@ def parse_source(text: str) -> SourceFile:
             cur.expect("}")
             objmap = (name, src, tgt, tuple(pairs))
         elif head.text == "node":
-            name = cur.name("a node name").text
-            declare("node", name, head.span)
             cur.expect("=")
             nodes.append((name, _parse_obj(cur)))
         elif head.text == "edge":
-            name = cur.name("an edge name").text
-            declare("edge", name, head.span)
             cur.expect(":")
             src = cur.name("a node").text
             cur.expect("->")
@@ -394,8 +392,6 @@ def parse_source(text: str) -> SourceFile:
             cur.expect("=")
             edges.append((name, src, tgt, _parse_mor(cur)))
         elif head.text == "functor":
-            name = cur.name("a functor name").text
-            declare("functor", name, head.span)
             cur.expect("=")
             kind = cur.next()
             if kind.text == "compose":
@@ -420,14 +416,10 @@ def parse_source(text: str) -> SourceFile:
                 on = cur.name("a generator set").text
                 functors.append((name, ("builtin", spec, on)))
         elif head.text == "interp":
-            name = cur.name("a letter").text
-            declare("interp", name, head.span)
             cur.expect("=")
             cur.expect("[")
             interps.append((name, cur.names("]")))
         elif head.text == "goal":
-            name = cur.name("a goal name").text
-            declare("goal", name, head.span)
             cur.expect(":")
 
             def path() -> tuple[str, ...]:
@@ -650,7 +642,8 @@ def _elab_factor(
             blocks.append(letter.word)
         inners = tuple(_inner_mor(g, w, env) for g, w in zip(inners_ast, blocks))
         outer = _outer_content(f[1], len(blocks), env)
-        m2 = FreeMor2(env.flavor, tuple(blocks), _permute_blocks(inners, outer, env), outer, inners)
+        targets = permute([u.target for u in inners], _content_perm(env.flavor, outer, len(inners)))
+        m2 = FreeMor2(env.flavor, tuple(blocks), tuple(targets), outer, inners)
         return UPhiFree(m2), [PhiLetter(w) for w in m2.target]
 
     if f[0] == "braid":
@@ -680,16 +673,6 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
     if len(word) == 1 and isinstance(letter, FreeLetter):
         return letter.name == env.phi(word[0])
     return False
-
-
-def _permute_blocks(inners: tuple[FreeMor, ...], outer, env: _Env) -> tuple[tuple[str, ...], ...]:
-    if outer is None:
-        p = identity_perm(len(inners))
-    elif isinstance(outer, BraidWord):
-        p = braid_perm(outer)
-    else:
-        p = outer
-    return tuple(permute([u.target for u in inners], p))
 
 
 def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, tuple[ULetter, ...]]:
@@ -943,17 +926,8 @@ def braid_eq(w1: str, w2: str, strands: int) -> None:
 def render(file: str, edge_name: str) -> None:
     """Draw an edge's dissolved braid."""
     d = _load(file)
-    if edge_name not in d.edges:
-        click.echo(f"error: no edge named {edge_name!r}", err=True)
-        sys.exit(2)
     u = dissolve_path(d, (edge_name,))
-    if d.flavor == "B":
-        word = u.content
-    elif d.flavor == "S":
-        word = perm_braid(u.content)
-    else:
-        word = BraidWord(len(u.source), ())
-    click.echo(render_braid_ascii(word, u.source))
+    click.echo(render_braid_ascii(display_braid(u), u.source))
 
 
 if __name__ == "__main__":

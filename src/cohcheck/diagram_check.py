@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .braid_core import Perm, braid_str, normalize_braid, perm_braid, perm_one_line
+from .braid_core import Perm, braid_str, normalize_braid, perm_one_line
 from .errors import BoundaryError, PathError, UnknownName, UnsupportedOp
-from .free_cat import Flavor, FreeMor, Gen, Obj, fmor_compose, permutation_shadow, project_generator
-from .functor_eval import FunctorSpec, check_interp, lambda_eval
+from .free_cat import Flavor, FreeMor, Gen, Obj, display_braid, fmor_compose, permutation_shadow, project_generator
+from .functor_eval import FunctorSpec, check_interp
 from .ualg import ObjMap, UCompose, UId, UMor, UObj, _dissolution, format_uobj, umor_shadow
 
 EQUAL = "equal"
@@ -173,11 +173,9 @@ def check_goal(d: Diagram, goal: Goal) -> Verdict:
 
 @dataclass(frozen=True)
 class SideReport:
-    path: tuple[str, ...]
     word: str
     nf: str
     perm: Perm
-    image: FreeMor | None = None
 
 
 @dataclass(frozen=True)
@@ -189,38 +187,18 @@ class GoalReport:
     projections: dict[Gen, tuple[Perm, Perm]]
 
 
-def _side_report(d: Diagram, path: Sequence[str], r: _Residue, image: FreeMor | None) -> SideReport:
-    if d.flavor == "B":
-        word = braid_str(r.mor.content)
-        nf = str(r.key)
-    elif d.flavor == "S":
-        word = braid_str(perm_braid(r.mor.content))
-        nf = word
-    else:
-        word = ""
-        nf = ""
-    return SideReport(tuple(path), word, nf, r.shadow.content, image)
+def _side_report(r: _Residue) -> SideReport:
+    word = braid_str(display_braid(r.mor))
+    return SideReport(word, str(r.key) if r.mor.flavor == "B" else word, r.shadow.content)
 
 
-def explain_goal(
-    d: Diagram,
-    goal: Goal,
-    functor: FunctorSpec | None = None,
-    interp: Mapping[str, Obj] | None = None,
-) -> GoalReport:
+def explain_goal(d: Diagram, goal: Goal) -> GoalReport:
     """Everything check_goal sees, plus per-generator self-permutations of
-    the permutation shadows and, when the caller passes a functor and an
-    interpretation, the evaluated composites themselves. A functor and
-    interpretation declared in the diagram are only checked."""
+    the permutation shadows. A functor and interpretation declared in the
+    diagram are checked."""
     left, right = _residue(d, goal.left), _residue(d, goal.right)
-    images: tuple[FreeMor | None, FreeMor | None] = (None, None)
-    if functor is not None and interp is not None:
-        images = tuple(lambda_eval(compose_path(d, p), functor, interp, d.phi) for p in (goal.left, goal.right))
-    else:
-        functor = functor if functor is not None else d.functor
-        interp = interp if interp is not None else d.interp
-        if functor is not None and interp is not None:
-            check_interp(functor, interp, d.phi)
+    if d.functor is not None and d.interp is not None:
+        check_interp(d.functor, d.interp, d.phi)
     projections = {
         g: (project_generator(left.shadow, g), project_generator(right.shadow, g))
         for g in d.phi.target.names
@@ -228,8 +206,8 @@ def explain_goal(
     return GoalReport(
         goal=goal.name,
         verdict=_verdict(left, right),
-        left=_side_report(d, goal.left, left, images[0]),
-        right=_side_report(d, goal.right, right, images[1]),
+        left=_side_report(left),
+        right=_side_report(right),
         projections=projections,
     )
 

@@ -33,6 +33,7 @@ from .braid_core import (
     identity_perm,
     inverse_perm,
     is_perm,
+    perm_braid,
     permute,
 )
 from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
@@ -178,6 +179,12 @@ def fmor_braiding(x: tuple[Label, ...], y: tuple[Label, ...], flavor: Flavor) ->
 
 def underlying_permutation(u: FreeMor) -> Perm:
     return _content_perm(u.flavor, u.content, len(u.source))
+
+
+def display_braid(u: FreeMor) -> BraidWord:
+    """The braid u is shown as: its content in flavor B, otherwise the
+    positive reduced word of its permutation (empty in flavor M)."""
+    return u.content if u.flavor == "B" else perm_braid(underlying_permutation(u))
 
 
 def permutation_shadow(u: FreeMor) -> FreeMor:

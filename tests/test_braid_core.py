@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -210,6 +211,20 @@ def test_perm_is_homomorphism(pair: tuple[BraidWord, BraidWord]) -> None:
 @given(braid_words())
 def test_inverse_perm(w: BraidWord) -> None:
     assert braid_perm(braid_inverse(w)) == inverse_perm(braid_perm(w))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_perm_braid_takes_the_leftmost_left_descent(n: int) -> None:
+    # the rule that fixes the word the golden files freeze: strip from the
+    # left, each time at the smallest j with q^-1[j] > q^-1[j+1]
+    for p in itertools.permutations(range(n)):
+        q = list(p)
+        for letter in perm_braid(p).letters:
+            inv = inverse_perm(tuple(q))
+            descents = [j for j in range(n - 1) if inv[j] > inv[j + 1]]
+            assert descents and letter == descents[0] + 1, (p, perm_braid(p))
+            q = [letter if i == letter - 1 else letter - 1 if i == letter else i for i in q]  # q := t_j o q
+        assert q == list(range(n)), p
 
 
 @given(braid_words())

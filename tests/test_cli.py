@@ -636,6 +636,7 @@ def test_internal_error_exits_3(monkeypatch):
 def test_render_unknown_edge():
     r = run("render", str(FIXTURES / "mystery1.coh"), "--edge", "nope")
     assert r.exit_code == 2
+    assert (r.stdout, r.stderr) == ("", "error: no edge named 'nope'\n")
 
 
 def test_render_is_deterministic():

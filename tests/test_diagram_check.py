@@ -24,7 +24,7 @@ from cohcheck.diagram_check import (
 )
 from cohcheck.errors import BoundaryError, PathError, StructureError, UnknownName, UnsupportedOp
 from cohcheck.free_cat import fmor_equal
-from cohcheck.functor_eval import make_builtin_spec
+from cohcheck.functor_eval import lambda_eval, make_builtin_spec
 from cohcheck.ualg import UId, dissolve
 
 from lib_extras import all_parallel_goals
@@ -161,10 +161,11 @@ def test_explain_with_identity_functor():
     d = cyclic_diagram()
     F = make_builtin_spec("identity", d.phi.source, "B")
     interp = {g: (g,) for g in d.phi.target.names}
-    rep = explain_goal(d, d.goals[0], functor=F, interp=interp)
-    assert rep.left.image is not None and rep.right.image is not None
-    assert rep.left.image.content.letters == CYCLIC_LEFT
-    assert not fmor_equal(rep.left.image, rep.right.image)
+    g = d.goals[0]
+    left, right = (lambda_eval(compose_path(d, side), F, interp, d.phi) for side in (g.left, g.right))
+    assert left is not None and right is not None
+    assert left.content.letters == CYCLIC_LEFT
+    assert not fmor_equal(left, right)
 
 
 def test_json_shape():

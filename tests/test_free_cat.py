@@ -145,6 +145,28 @@ def test_flavor_s_content_is_a_plain_tuple():
     FreeMor("S", ab, ab, (0, 1))
 
 
+_AB, _BLOCKS = ("a", "b"), (("a",), ("b",))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FreeMor("S", _AB, _AB, ("x", 1)),
+        lambda: FreeMor("S", _AB, _AB, (0, 1.0)),
+        lambda: FreeMor2("S", _BLOCKS, _BLOCKS, (0, 1.0), (fmor_id("S", ("a",)), fmor_id("S", ("b",)))),
+        lambda: BraidWord(2, ("x",)),
+        lambda: BraidWord("2", ()),
+        lambda: BraidWord(2, (1.0,)),
+    ],
+    ids=["perm-of-str", "perm-of-float", "outer-perm-of-float", "letter-str", "strands-str", "letter-float"],
+)
+def test_wrong_element_types_are_structure_errors(build):
+    # a CohError, so that a library caller sees the same error as for a
+    # value out of range, not a TypeError from a comparison
+    with pytest.raises(StructureError):
+        build()
+
+
 def test_records_are_frozen():
     u = fmor_braiding(("a",), ("b",), "B")
     u2 = FreeMor2("S", (("a",),), (("a",),), (0,), (fmor_id("S", ("a",)),))

@@ -73,3 +73,15 @@ def test_check_corpus_time_column(flatten):
     if not flatten:
         expected = [row.split("  flattened")[0] for row in expected]
     assert rows == expected
+
+
+def test_check_corpus_unreadable_files_are_error_rows(tmp_path):
+    (tmp_path / "bad.coh").write_bytes(b"flavor braided\n\xff\n")
+    (tmp_path / "dir.coh").mkdir()
+    r = run_script("check_corpus.py", "--dir", str(tmp_path))
+    assert (r.returncode, r.stderr) == (1, "")
+    rows = [re.sub(r"^(\S+) +[\d.]+ ms  ", r"\1 ", line) for line in r.stdout.splitlines()]
+    assert rows == [
+        f"bad error: {tmp_path / 'bad.coh'}: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte",
+        f"dir error: {tmp_path / 'dir.coh'}: Is a directory",
+    ]
