@@ -24,6 +24,7 @@ from cohcheck.diagram_check import EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, check_goal
 from cohcheck.errors import ElabError, ParseError, SourceSpan, StructureError
 from cohcheck.ualg import dissolve
 
+import parse_mutants
 from source_printer import format_source
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -192,6 +193,15 @@ def test_bad_perm_literal():
 def test_trailing_tokens_rejected():
     with pytest.raises(ParseError, match="trailing"):
         parse_source("flavor braided extra")
+
+
+def test_parse_errors_match_golden():
+    # every token of the corpus deleted, doubled or replaced: the parser's
+    # messages, spans and structures as tests/parse_mutants.py recorded them
+    golden = json.loads(parse_mutants.GOLDEN.read_text(encoding="utf-8"))
+    got = {key: parse_mutants.outcome(source) for key, source in parse_mutants.mutants()}
+    assert len(got) == len(golden) == 2546
+    assert [key for key in golden if got[key] != golden[key]] == []
 
 
 @pytest.mark.parametrize("name", CORPUS)
