@@ -73,6 +73,8 @@ class BraidWord(_BraidWordFields):
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 0:
             raise StructureError(f"a braid on {self.n!r} strands")
+        if type(self.letters) is not tuple:
+            raise StructureError(f"braid letters {self.letters!r} are not a tuple")
         for l in self.letters:
             if type(l) is not int or not 0 < abs(l) < self.n:
                 raise StructureError(f"letter {l!r} out of range for {self.n} strands")

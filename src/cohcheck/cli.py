@@ -35,7 +35,8 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Sequence
 
 import click
 
@@ -78,13 +79,14 @@ from .ualg import (
 
 # -- tokens ----------------------------------------------------------------------
 
-# one match per token: group 1 is a token, group 2 a character that starts none
+# one match per token; a character that starts no token matches alone, with
+# the group empty
 _TOKEN_RE = re.compile(
     r'\s*(?:("[^"]*"'
     r"|->|=="
     r"|[A-Za-z_][A-Za-z0-9_]*(?:\^-1)?"
     r"|-?\d+"
-    r"|[()\[\]{}|;.,=:])|(\S))"
+    r"|[()\[\]{}|;.,=:])|\S)"
 )
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -96,72 +98,69 @@ _DECLARED_NAMES = {
 }
 
 
-class Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col)
-
-
-def _tokenize_line(line: str, lineno: int) -> list[Token]:
-    toks: list[Token] = []
-    for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
-        text, bad = m.groups()
-        if bad is not None:
-            raise ParseError(f"unexpected character {bad!r}", SourceSpan(lineno, m.start(2) + 1))
-        toks.append(tuple.__new__(Token, (text, lineno, m.start(1) + 1)))
-    return toks
+def _tokenize_line(line: str, lineno: int) -> list[str]:
+    code = line.split("#", 1)[0]
+    texts = _TOKEN_RE.findall(code)
+    if "" in texts:
+        m = next(islice(_TOKEN_RE.finditer(code), texts.index(""), None))
+        raise ParseError(f"unexpected character {code[m.end() - 1]!r}", SourceSpan(lineno, m.end()))
+    return texts
 
 
 class _Cursor:
-    """A token stream with one-token lookahead and span-carrying errors."""
+    """The token texts of one line, with one-token lookahead. A token's
+    column is found again from the line, only when a span needs it."""
 
-    def __init__(self, tokens: list[Token], end_span: SourceSpan) -> None:
-        self.tokens = tokens
+    def __init__(self, texts: list[str], line: str, lineno: int) -> None:
+        self.texts = texts
         self.i = 0
-        self.end_span = end_span
+        self.line = line
+        self.lineno = lineno
+
+    def span(self, i: int) -> SourceSpan:
+        """Where token i starts; past the last token, just past the line."""
+        if i >= len(self.texts):
+            return SourceSpan(self.lineno, len(self.line) + 1)
+        m = next(islice(_TOKEN_RE.finditer(self.line.split("#", 1)[0]), i, None))
+        return SourceSpan(self.lineno, m.start(1) + 1)
+
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """An error at token i, by default the one read last."""
+        return ParseError(message, self.span(self.i - 1 if i is None else i))
 
     def peek(self) -> str | None:
-        return self.tokens[self.i].text if self.i < len(self.tokens) else None
+        return self.texts[self.i] if self.i < len(self.texts) else None
 
-    def next(self) -> Token:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of line", self.end_span)
-        tok = self.tokens[self.i]
+    def next(self) -> str:
+        if self.i >= len(self.texts):
+            raise self.error("unexpected end of line", self.i)
         self.i += 1
-        return tok
+        return self.texts[self.i - 1]
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.span)
-        return tok
+    def expect(self, text: str) -> None:
+        found = self.next()
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found!r}")
 
-    def name(self, what: str) -> Token:
-        tok = self.next()
-        if not _NAME_RE.fullmatch(tok.text):
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.span)
-        return tok
+    def name(self, what: str) -> str:
+        text = self.next()
+        if not _NAME_RE.fullmatch(text):
+            raise self.error(f"expected {what}, found {text!r}")
+        return text
 
     def names(self, closer: str) -> tuple[str, ...]:
         """Generator names up to the closer, which is consumed; commas
         between them are optional."""
-        names = []
-        while self.peek() != closer:
-            if self.peek() == ",":
-                self.next()
-            else:
-                names.append(self.name("a generator").text)
+        texts, i, names = self.texts, self.i, []
+        while i < len(texts) and texts[i] != closer:
+            if texts[i] != ",":
+                if not _NAME_RE.fullmatch(texts[i]):
+                    raise self.error(f"expected a generator, found {texts[i]!r}", i)
+                names.append(texts[i])
+            i += 1
+        self.i = i
         self.expect(closer)
         return tuple(names)
-
-    def done(self) -> None:
-        if self.i < len(self.tokens):
-            tok = self.tokens[self.i]
-            raise ParseError(f"trailing input starting at {tok.text!r}", tok.span)
 
 
 # -- source model ----------------------------------------------------------------
@@ -197,98 +196,95 @@ class SourceFile:
         )
 
 
-def _number(digits: str, tok: Token) -> int:
+def _number(digits: str, cur: _Cursor, i: int) -> int:
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
-        raise ParseError(f"a number of {len(digits)} digits is too long", tok.span) from None
+        raise cur.error(f"a number of {len(digits)} digits is too long", i) from None
 
 
-def _parse_word_token(text: str, tok: Token) -> int:
-    """A letter of the braid word that starts at tok; errors point at tok."""
-    m = _LETTER_RE.fullmatch(text)
-    if m is None:
-        raise ParseError(f"{text!r} is not a braid letter", tok.span)
-    i = _number(m.group(1), tok)
-    if i == 0:
-        raise ParseError("braid letters are numbered from 1", tok.span)
-    return -i if m.group(2) else i
-
-
-def _parse_quoted_word(tok: Token) -> tuple[int, ...]:
-    return tuple(_parse_word_token(part, tok) for part in tok.text[1:-1].split())
+def _parse_letters(texts: list[str], i: int, cur: _Cursor, at: int | None = None) -> tuple[list[int], int]:
+    """The braid letters of texts[i:] up to the first text that is none,
+    and that text's index. Errors point at token at, by default at the
+    letter's own token."""
+    letters = []
+    while i < len(texts) and (m := _LETTER_RE.fullmatch(texts[i])):
+        k = _number(m[1], cur, i if at is None else at)
+        if k == 0:
+            raise cur.error("braid letters are numbered from 1", i if at is None else at)
+        letters.append(-k if m[2] else k)
+        i += 1
+    return letters, i
 
 
 def _parse_obj(cur: _Cursor) -> ObjAst:
     items = []
     while True:
-        tok = cur.next()
-        if tok.text == "[":
+        t = cur.next()
+        if t == "[":
             items.append(("letters", cur.names("]")))
-        elif _NAME_RE.fullmatch(tok.text) and cur.peek() == "(":
-            cur.expect("(")
-            items.append(("block", tok.text, cur.names(")")))
+        elif _NAME_RE.fullmatch(t) and cur.peek() == "(":
+            cur.i += 1
+            items.append(("block", t, cur.names(")")))
         else:
-            raise ParseError(f"expected an object item, found {tok.text!r}", tok.span)
-        if cur.peek() == ";":
-            cur.next()
-        else:
+            raise cur.error(f"expected an object item, found {t!r}")
+        if cur.peek() != ";":
             return tuple(items)
+        cur.i += 1
 
 
 def _parse_block_list(cur: _Cursor) -> tuple[tuple[str, ...], ...]:
     cur.expect("(")
-    blocks: list[tuple[str, ...]] = []
     if cur.peek() == ")":
-        cur.next()
+        cur.i += 1
         return ()
-    word: list[str] = []
+    blocks, word = [], []
     while True:
-        tok = cur.next()
-        if tok.text == "|":
+        t = cur.next()
+        if t in ("|", ")"):
             blocks.append(tuple(word))
             word = []
-        elif tok.text == ")":
-            blocks.append(tuple(word))
-            return tuple(blocks)
-        elif _NAME_RE.fullmatch(tok.text):
-            word.append(tok.text)
+            if t == ")":
+                return tuple(blocks)
+        elif _NAME_RE.fullmatch(t):
+            word.append(t)
         else:
-            raise ParseError(f"expected a generator, found {tok.text!r}", tok.span)
+            raise cur.error(f"expected a generator, found {t!r}")
 
 
 def _parse_factor(cur: _Cursor) -> tuple:
-    tok = cur.next()
-    if tok.text == "id":
+    t = cur.next()
+    if t == "id":
         return ("id",)
-    if tok.text.startswith('"'):
-        return ("word", _parse_quoted_word(tok))
-    if _LETTER_RE.fullmatch(tok.text):
-        letters = [_parse_word_token(tok.text, tok)]
-        while cur.peek() is not None and _LETTER_RE.fullmatch(cur.peek() or ""):
-            tok = cur.next()
-            letters.append(_parse_word_token(tok.text, tok))
+    texts, at = cur.texts, cur.i - 1
+    if t.startswith('"'):
+        parts = t[1:-1].split()
+        letters, i = _parse_letters(parts, 0, cur, at)
+        if i < len(parts):
+            raise cur.error(f"{parts[i]!r} is not a braid letter", at)
         return ("word", tuple(letters))
-    if tok.text == "perm":
+    if _LETTER_RE.fullmatch(t):  # a bare word: the run of letter tokens from here
+        letters, cur.i = _parse_letters(texts, at, cur)
+        return ("word", tuple(letters))
+    if t == "perm":
         cur.expect("(")
-        images = []
-        while cur.peek() != ")":
-            if cur.peek() == ",":
-                cur.next()
-                continue
-            t = cur.next()
-            if not t.text.isdigit():
-                raise ParseError(f"expected a strand number, found {t.text!r}", t.span)
-            images.append(_number(t.text, t))
+        images, i = [], cur.i
+        while i < len(texts) and texts[i] != ")":
+            if texts[i] != ",":
+                if not texts[i].isdigit():
+                    raise cur.error(f"expected a strand number, found {texts[i]!r}", i)
+                images.append(_number(texts[i], cur, i))
+            i += 1
+        cur.i = i
         cur.expect(")")
         if sorted(images) != list(range(1, len(images) + 1)):
-            raise ParseError(f"{images} is not a permutation of 1..{len(images)}", tok.span)
-        return ("perm", tuple(i - 1 for i in images))
-    if tok.text == "q":
+            raise cur.error(f"{images} is not a permutation of 1..{len(images)}", at)
+        return ("perm", tuple([k - 1 for k in images]))
+    if t == "q":
         return ("q", _parse_block_list(cur))
-    if tok.text == "q^-1":
+    if t == "q^-1":
         return ("qinv", _parse_block_list(cur))
-    if tok.text == "pf":
+    if t == "pf":
         cur.expect("(")
         cur.expect("outer")
         cur.expect("=")
@@ -298,33 +294,31 @@ def _parse_factor(cur: _Cursor) -> tuple:
         cur.expect("=")
         inners = [_parse_factor(cur)]
         while cur.peek() == ",":
-            cur.next()
+            cur.i += 1
             inners.append(_parse_factor(cur))
         cur.expect(")")
         return ("pf", outer, tuple(inners))
-    if tok.text == "braid":
+    if t == "braid":
         cur.expect("(")
         x = _parse_obj(cur)
         cur.expect(",")
         y = _parse_obj(cur)
         cur.expect(")")
         return ("braid", x, y)
-    raise ParseError(f"expected a morphism factor, found {tok.text!r}", tok.span)
+    raise cur.error(f"expected a morphism factor, found {t!r}")
 
 
 def _parse_mor(cur: _Cursor) -> MorAst:
-    def row() -> tuple:
+    rows = []
+    while True:
         factors = [_parse_factor(cur)]
         while cur.peek() == ";":
-            cur.next()
+            cur.i += 1
             factors.append(_parse_factor(cur))
-        return ("tensor", tuple(factors))
-
-    rows = [row()]
-    while cur.peek() == ".":
-        cur.next()
-        rows.append(row())
-    return ("compose", tuple(rows))
+        rows.append(("tensor", tuple(factors)))
+        if cur.peek() != ".":
+            return ("compose", tuple(rows))
+        cur.i += 1
 
 
 def parse_source(text: str) -> SourceFile:
@@ -341,92 +335,93 @@ def parse_source(text: str) -> SourceFile:
     spans: dict[tuple[str, str], SourceSpan] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = _tokenize_line(line, lineno)
-        if not toks:
+        texts = _tokenize_line(line, lineno)
+        if not texts:
             continue
-        cur = _Cursor(toks, SourceSpan(lineno, len(line) + 1))
+        cur = _Cursor(texts, line, lineno)
         head = cur.next()
-        if head.text == "map" and objmap is not None:
-            raise ParseError("a file declares a single map", head.span)
-        if head.text in _DECLARED_NAMES:
-            name = cur.name(_DECLARED_NAMES[head.text]).text
-            if (head.text, name) in spans:
-                raise ParseError(f"{head.text} {name!r} already declared at {spans[head.text, name]}", head.span)
-            spans[head.text, name] = head.span
-        if head.text == "flavor":
-            word = cur.name("a flavor").text
+        if head == "map" and objmap is not None:
+            raise cur.error("a file declares a single map")
+        if head in _DECLARED_NAMES:
+            name = cur.name(_DECLARED_NAMES[head])
+            if (head, name) in spans:
+                raise cur.error(f"{head} {name!r} already declared at {spans[head, name]}", 0)
+            spans[head, name] = cur.span(0)
+        if head == "flavor":
+            word = cur.name("a flavor")
             if word not in FLAVOR_WORDS:
-                raise ParseError(f"unknown flavor {word!r}", cur.tokens[cur.i - 1].span)
+                raise cur.error(f"unknown flavor {word!r}")
             if flavor is not None:
-                raise ParseError("flavor already declared", head.span)
+                raise cur.error("flavor already declared", 0)
             flavor = FLAVOR_WORDS[word]
-        elif head.text == "gens":
+        elif head == "gens":
             cur.expect("=")
             cur.expect("{")
             gens.append((name, cur.names("}")))
-        elif head.text == "map":
+        elif head == "map":
             cur.expect(":")
-            src = cur.name("a generator set").text
+            src = cur.name("a generator set")
             cur.expect("->")
-            tgt = cur.name("a generator set").text
+            tgt = cur.name("a generator set")
             cur.expect("{")
             pairs = []
             while cur.peek() != "}":
                 if cur.peek() == ";":
-                    cur.next()
+                    cur.i += 1
                     continue
-                a = cur.name("a generator").text
+                a = cur.name("a generator")
                 cur.expect("->")
-                b = cur.name("a generator").text
+                b = cur.name("a generator")
                 pairs.append((a, b))
             cur.expect("}")
             objmap = (name, src, tgt, tuple(pairs))
-        elif head.text == "node":
+        elif head == "node":
             cur.expect("=")
             nodes.append((name, _parse_obj(cur)))
-        elif head.text == "edge":
+        elif head == "edge":
             cur.expect(":")
-            src = cur.name("a node").text
+            src = cur.name("a node")
             cur.expect("->")
-            tgt = cur.name("a node").text
+            tgt = cur.name("a node")
             cur.expect("=")
             edges.append((name, src, tgt, _parse_mor(cur)))
-        elif head.text == "functor":
+        elif head == "functor":
             cur.expect("=")
             kind = cur.next()
-            if kind.text == "compose":
+            if kind == "compose":
                 cur.expect("(")
-                f = cur.name("a functor").text
+                f = cur.name("a functor")
                 cur.expect(",")
-                g = cur.name("a functor").text
+                g = cur.name("a functor")
                 cur.expect(")")
                 functors.append((name, ("compose", f, g)))
             else:
-                spec = kind.text
-                if kind.text == "nfold":
+                spec = kind
+                if kind == "nfold":
                     cur.expect("(")
                     n = cur.next()
-                    if not n.text.isdigit():
-                        raise ParseError(f"expected a count, found {n.text!r}", n.span)
+                    if not n.isdigit():
+                        raise cur.error(f"expected a count, found {n!r}")
+                    _number(n, cur, cur.i - 1)
                     cur.expect(")")
-                    spec = f"nfold({n.text})"
-                elif kind.text not in ("identity", "doubling"):
-                    raise ParseError(f"unknown functor {kind.text!r}", kind.span)
+                    spec = f"nfold({n})"
+                elif kind not in ("identity", "doubling"):
+                    raise cur.error(f"unknown functor {kind!r}")
                 cur.expect("on")
-                on = cur.name("a generator set").text
+                on = cur.name("a generator set")
                 functors.append((name, ("builtin", spec, on)))
-        elif head.text == "interp":
+        elif head == "interp":
             cur.expect("=")
             cur.expect("[")
             interps.append((name, cur.names("]")))
-        elif head.text == "goal":
+        elif head == "goal":
             cur.expect(":")
 
             def path() -> tuple[str, ...]:
-                steps = [cur.name("an edge").text]
+                steps = [cur.name("an edge")]
                 while cur.peek() == ".":
-                    cur.next()
-                    steps.append(cur.name("an edge").text)
+                    cur.i += 1
+                    steps.append(cur.name("an edge"))
                 return tuple(steps)
 
             left = path()
@@ -434,8 +429,9 @@ def parse_source(text: str) -> SourceFile:
             right = path()
             goals.append((name, left, right))
         else:
-            raise ParseError(f"unknown declaration {head.text!r}", head.span)
-        cur.done()
+            raise cur.error(f"unknown declaration {head!r}", 0)
+        if cur.i < len(texts):
+            raise cur.error(f"trailing input starting at {texts[cur.i]!r}", cur.i)
 
     sf = SourceFile(
         flavor, tuple(gens), objmap, tuple(nodes), tuple(edges),
@@ -448,35 +444,31 @@ def parse_source(text: str) -> SourceFile:
 def _resolve(sf: SourceFile) -> None:
     """Cross-declaration reference checks; expression-level name checks
     happen during elaboration."""
-
-    def at(kind: str, name: str) -> SourceSpan | None:
-        return sf.spans.get((kind, name))
-
     gen_names = {n for n, _ in sf.gens}
     if sf.objmap is not None:
         name, src, tgt, _ = sf.objmap
         for g in (src, tgt):
             if g not in gen_names:
-                raise ParseError(f"map {name}: no generator set {g!r}", at("map", name))
+                raise ParseError(f"map {name}: no generator set {g!r}", sf.spans.get(("map", name)))
     node_names = {n for n, _ in sf.nodes}
     for name, src, tgt, _ in sf.edges:
         for n in (src, tgt):
             if n not in node_names:
-                raise ParseError(f"edge {name}: no node {n!r}", at("edge", name))
+                raise ParseError(f"edge {name}: no node {n!r}", sf.spans.get(("edge", name)))
     functor_names = set()
     for name, ast in sf.functors:
         if ast[0] == "builtin" and ast[2] not in gen_names:
-            raise ParseError(f"functor {name}: no generator set {ast[2]!r}", at("functor", name))
+            raise ParseError(f"functor {name}: no generator set {ast[2]!r}", sf.spans.get(("functor", name)))
         if ast[0] == "compose":
             for f in ast[1:]:
                 if f not in functor_names:
-                    raise ParseError(f"functor {name}: no functor {f!r}", at("functor", name))
+                    raise ParseError(f"functor {name}: no functor {f!r}", sf.spans.get(("functor", name)))
         functor_names.add(name)
     edge_names = {n for n, *_ in sf.edges}
     for name, left, right in sf.goals:
         for step in left + right:
             if step not in edge_names:
-                raise ParseError(f"goal {name}: no edge {step!r}", at("goal", name))
+                raise ParseError(f"goal {name}: no edge {step!r}", sf.spans.get(("goal", name)))
 
 
 # -- elaboration -----------------------------------------------------------------
@@ -533,11 +525,6 @@ def _free_labels(chunk: Sequence[ULetter], env: _Env) -> tuple[str, ...]:
     return labels
 
 
-def _check_word_width(letters: tuple[int, ...], n: int, what: str, env: _Env) -> None:
-    if any(abs(l) > n - 1 for l in letters):
-        raise ElabError(f"{what} uses strand {max(abs(l) for l in letters) + 1}, only {n} available", env.span)
-
-
 def _check_flavor(f: tuple, env: _Env) -> None:
     if f[0] == "word" and env.flavor == "M":
         raise ElabError("braid words need a symmetric or braided flavor", env.span)
@@ -554,7 +541,8 @@ def _content(f: tuple, n: int, env: _Env, word_what: str, perm_misfit: str):
         if len(f[1]) != n:
             raise ElabError(perm_misfit.format(len(f[1]), n), env.span)
         return f[1]
-    _check_word_width(f[1], n, word_what, env)
+    if any(abs(l) > n - 1 for l in f[1]):
+        raise ElabError(f"{word_what} uses strand {max(abs(l) for l in f[1]) + 1}, only {n} available", env.span)
     word = BraidWord(n, f[1])
     return word if env.flavor == "B" else braid_perm(word)
 

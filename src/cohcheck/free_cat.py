@@ -95,6 +95,8 @@ class FreeMor(_FreeMorFields):
         return self
 
     def __post_init__(self) -> None:
+        if type(self.source) is not tuple or type(self.target) is not tuple:
+            raise StructureError("source and target words must be tuples")
         n = len(self.source)
         if self.flavor == "M":
             if self.content is not None or self.source != self.target:
@@ -129,7 +131,10 @@ def fmor_id(flavor: Flavor, x: tuple[Label, ...]) -> FreeMor:
 
 
 def fmor_of_perm(x: tuple[Label, ...], p: Perm) -> FreeMor:
-    return FreeMor("S", x, tuple(permute(x, p)), p)
+    """The target is built from the permutation, so only p is checked."""
+    if not (type(p) is tuple and len(p) == len(x) and is_perm(p)):
+        raise StructureError("flavor S needs a permutation of the source length")
+    return tuple.__new__(FreeMor, ("S", x, tuple(permute(x, p)), p))
 
 
 def fmor_of_braid(x: tuple[Label, ...], w: BraidWord) -> FreeMor:
@@ -248,6 +253,9 @@ class FreeMor2(_FreeMor2Fields):
         return self
 
     def __post_init__(self) -> None:
+        if not (type(self.source) is type(self.target) is type(self.inners) is tuple
+                and all(type(b) is tuple for b in self.source + self.target)):
+            raise StructureError("boundary blocks and inner morphisms must be tuples")
         m = len(self.source)
         if len(self.inners) != m or len(self.target) != m:
             raise StructureError("block counts of boundary and inner morphisms differ")

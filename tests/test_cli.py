@@ -630,6 +630,19 @@ def test_numbers_past_int_limit_are_parse_errors():
         parse_source(text)
 
 
+def test_nfold_count_past_int_limit_is_a_parse_error(tmp_path):
+    # read like every other number: at the count's own column, not as an
+    # elaboration error at the start of the line
+    text = _tiny("functor F = nfold(" + "1" * 5000 + ") on A\n")
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert str(exc.value) == "line 5, col 19: a number of 5000 digits is too long"
+    path = tmp_path / "nfold.coh"
+    path.write_text(text, encoding="utf-8")
+    r = run("check", str(path))
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", "error: line 5, col 19: a number of 5000 digits is too long\n")
+
+
 def test_internal_error_exits_3(monkeypatch):
     # a bug is not a verdict: one line on stderr, no traceback, status 3
     def crash(d, g):

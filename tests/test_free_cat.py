@@ -167,6 +167,45 @@ def test_wrong_element_types_are_structure_errors(build):
         build()
 
 
+_INNERS = (fmor_id("S", ("a",)), fmor_id("S", ("b",)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BraidWord(2, [1]),
+        lambda: BraidWord(2, 5),
+        lambda: FreeMor("S", ["a", "b"], _AB, (0, 1)),
+        lambda: FreeMor("S", _AB, ["a", "b"], (0, 1)),
+        lambda: FreeMor("S", ["a"], ["a"], (0,)),
+        lambda: FreeMor("S", 5, 5, ()),
+        lambda: FreeMor2("S", list(_BLOCKS), _BLOCKS, (0, 1), _INNERS),
+        lambda: FreeMor2("S", _BLOCKS, list(_BLOCKS), (0, 1), _INNERS),
+        lambda: FreeMor2("S", (["a"], ("b",)), _BLOCKS, (0, 1), _INNERS),
+        lambda: FreeMor2("S", _BLOCKS, (("a",), ["b"]), (0, 1), _INNERS),
+        lambda: FreeMor2("S", _BLOCKS, _BLOCKS, (0, 1), list(_INNERS)),
+    ],
+    ids=[
+        "letters-list", "letters-int", "source-list", "target-list", "boundary-lists", "boundary-ints",
+        "source2-list", "target2-list", "source-block-list", "target-block-list", "inners-list",
+    ],
+)
+def test_fields_that_are_not_tuples_are_structure_errors(build):
+    # a record that validates is hashable: every field it holds is a tuple
+    with pytest.raises(StructureError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "p", [(0,), (0, 1, 2), (0, 0), (1, 2), [1, 0], (0, 1.0), BraidWord(2, (1,))],
+    ids=["short", "long", "repeat", "out-of-range", "list", "float", "braid-word"],
+)
+def test_fmor_of_perm_checks_its_permutation(p):
+    with pytest.raises(StructureError, match="flavor S needs a permutation of the source length"):
+        fmor_of_perm(_AB, p)
+    assert fmor_of_perm(_AB, (1, 0)) == FreeMor("S", _AB, ("b", "a"), (1, 0))
+
+
 def test_records_are_frozen():
     u = fmor_braiding(("a",), ("b",), "B")
     u2 = FreeMor2("S", (("a",),), (("a",),), (0,), (fmor_id("S", ("a",)),))
