@@ -402,7 +402,7 @@ def parse_source(text: str) -> SourceFile:
                     n = cur.next()
                     if not n.isdigit():
                         raise cur.error(f"expected a count, found {n!r}")
-                    _number(n, cur, cur.i - 1)
+                    _number(n, cur, cur.i - 1)  # a count int() cannot read is a parse error
                     cur.expect(")")
                     spec = f"nfold({n})"
                 elif kind not in ("identity", "doubling"):
