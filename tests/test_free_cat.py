@@ -146,6 +146,7 @@ def test_flavor_s_content_is_a_plain_tuple():
 
 
 _AB, _BLOCKS = ("a", "b"), (("a",), ("b",))
+_INNERS = (fmor_id("S", ("a",)), fmor_id("S", ("b",)))
 
 
 @pytest.mark.parametrize(
@@ -157,22 +158,8 @@ _AB, _BLOCKS = ("a", "b"), (("a",), ("b",))
         lambda: BraidWord(2, ("x",)),
         lambda: BraidWord("2", ()),
         lambda: BraidWord(2, (1.0,)),
-    ],
-    ids=["perm-of-str", "perm-of-float", "outer-perm-of-float", "letter-str", "strands-str", "letter-float"],
-)
-def test_wrong_element_types_are_structure_errors(build):
-    # a CohError, so that a library caller sees the same error as for a
-    # value out of range, not a TypeError from a comparison
-    with pytest.raises(StructureError):
-        build()
-
-
-_INNERS = (fmor_id("S", ("a",)), fmor_id("S", ("b",)))
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
+        # a field that holds a sequence must be a tuple, or the record is
+        # not hashable
         lambda: BraidWord(2, [1]),
         lambda: BraidWord(2, 5),
         lambda: FreeMor("S", ["a", "b"], _AB, (0, 1)),
@@ -186,12 +173,14 @@ _INNERS = (fmor_id("S", ("a",)), fmor_id("S", ("b",)))
         lambda: FreeMor2("S", _BLOCKS, _BLOCKS, (0, 1), list(_INNERS)),
     ],
     ids=[
+        "perm-of-str", "perm-of-float", "outer-perm-of-float", "letter-str", "strands-str", "letter-float",
         "letters-list", "letters-int", "source-list", "target-list", "boundary-lists", "boundary-ints",
         "source2-list", "target2-list", "source-block-list", "target-block-list", "inners-list",
     ],
 )
-def test_fields_that_are_not_tuples_are_structure_errors(build):
-    # a record that validates is hashable: every field it holds is a tuple
+def test_wrong_element_types_are_structure_errors(build):
+    # a CohError, so that a library caller sees the same error as for a
+    # value out of range, not a TypeError from a comparison
     with pytest.raises(StructureError):
         build()
 
