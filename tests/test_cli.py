@@ -254,6 +254,10 @@ FACTOR_ERRORS = [
     ("braided", "[fa fb fa]", "[fb fa fa]", '"s1" ; id . s2 s1', "edge e ends at [fa ; fb ; fa], node m is [fb ; fa ; fa]"),
     ("symmetric", "[fa fb fa]", "[fb fa fa]", "perm(2 1) ; id . s2 s1 ; id", "edge e ends at [fa ; fb ; fa], node m is [fb ; fa ; fa]"),
     ("braided", "[fa fb]", "[fa fb]", 's1 ; ""', "edge e ends at [fb ; fa], node m is [fa ; fb]"),
+    ("braided", "[fa fb]", "phi(a b)", "q(a | z)", "'z' is not a generator of A"),
+    ("braided", "phi(a b)", "[fb fa]", "q^-1(b | a)", "[phi(a b)] does not match the merged block (b a)"),
+    ("braided", "[fa fb]", "[fa fb]", "pf(outer=id; inner=id)", "pf expects formed letters, found [fa]"),
+    ("braided", "[fa fb]", "[fb fa]", "braid([fb], [fa])", "braid arguments [fb] ; [fa] do not match the source letters [fa] ; [fb]"),
 ]
 
 
@@ -272,6 +276,19 @@ def test_q_singleton_accepts_plain_letter():
         "goal g : e == e\n"
     )))
     assert check_goal(d, d.goals[0]) == EQUAL
+
+
+def test_pf_and_braid_build_in_plain_flavor():
+    # the plain flavor's pf has no outer content, and its braid(..) needs a
+    # unit argument
+    d = build_diagram(parse_source(_tiny(
+        "node n1 = phi(a b)\nnode n2 = [fa]\n"
+        "edge e : n1 -> n1 = pf(outer=id; inner=id)\n"
+        "edge f : n2 -> n2 = braid([], [fa])\n"
+        "goal g : e == e\ngoal h : f == f\n",
+        flavor="monoidal",
+    )))
+    assert [check_goal(d, g) for g in d.goals] == [EQUAL, EQUAL]
 
 
 def test_mid_tensor_id_consumes_one_letter():
@@ -353,6 +370,13 @@ def test_braid_of_two_nonunits_rejected_in_plain_flavor():
 def test_unknown_generator_in_node():
     with pytest.raises(ElabError, match="not a generator"):
         build_diagram(parse_source(_tiny("node n = [zz]\n")))
+    for node, message in (
+        ("psi(a)", "'psi' is not the declared map 'phi'"),
+        ("phi(z)", "'z' is not a generator of A"),
+    ):
+        with pytest.raises(ElabError) as err:
+            build_diagram(parse_source(_tiny(f"node n = {node}\n")))
+        assert str(err.value) == f"line 5, col 1: {message}"
 
 
 def test_missing_flavor_rejected():
