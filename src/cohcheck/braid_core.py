@@ -50,7 +50,7 @@ def perm_one_line(p: Perm) -> list[int]:
     return [i + 1 for i in p]
 
 
-_LETTER_RE = re.compile(r"s(\d+)(\^-1)?$")
+_LETTER_RE = re.compile(r"s([0-9]+)(\^-1)?$")
 
 
 class _BraidWordFields(NamedTuple):

@@ -41,7 +41,7 @@ from typing import Sequence
 import click
 
 from .braid_core import (
-    _LETTER_RE, BraidWord, braid_perm, braid_str, identity_perm, normalize_braid, perm_braid, permute,
+    _LETTER_RE, BraidWord, braid_perm, braid_str, normalize_braid, perm_braid, permute,
 )
 from .diagram_check import (
     EQUAL,
@@ -54,9 +54,9 @@ from .diagram_check import (
     report_json,
     validate_diagram,
 )
-from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError, UnknownName
+from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
 from .free_cat import (
-    Flavor, FreeMor, FreeMor2, GenSet, _content_perm, display_braid, fmor_id, fmor_of_braid, fmor_of_perm,
+    Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, fmor_id, fmor_of_braid, fmor_of_perm,
     underlying_permutation,
 )
 from .functor_eval import FunctorSpec, compose_specs, make_builtin_spec
@@ -85,7 +85,7 @@ _TOKEN_RE = re.compile(
     r'\s*(?:("[^"]*"'
     r"|->|=="
     r"|[A-Za-z_][A-Za-z0-9_]*(?:\^-1)?"
-    r"|-?\d+"
+    r"|-?[0-9]+"
     r"|[()\[\]{}|;.,=:])|\S)"
 )
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -118,10 +118,12 @@ class _Cursor:
         self.lineno = lineno
 
     def span(self, i: int) -> SourceSpan:
-        """Where token i starts; past the last token, just past the line."""
+        """Where token i starts; past the last token, just past the code
+        before any comment."""
+        code = self.line.split("#", 1)[0]
         if i >= len(self.texts):
-            return SourceSpan(self.lineno, len(self.line) + 1)
-        m = next(islice(_TOKEN_RE.finditer(self.line.split("#", 1)[0]), i, None))
+            return SourceSpan(self.lineno, len(code) + 1)
+        m = next(islice(_TOKEN_RE.finditer(code), i, None))
         return SourceSpan(self.lineno, m.start(1) + 1)
 
     def error(self, message: str, i: int | None = None) -> ParseError:
@@ -509,20 +511,19 @@ def _take(remaining: list[ULetter], count: int, what: str, env: _Env) -> list[UL
 
 
 def _free_labels(chunk: Sequence[ULetter], env: _Env) -> tuple[str, ...]:
-    try:
-        norm = normalize_uobj(chunk, env.phi)
-    except UnknownName:
-        norm = ()
+    """The plain labels of a chunk whose letters were all name-checked when
+    they were elaborated."""
+    norm = normalize_uobj(chunk, env.phi)
     # a letter normalizes to at most one, so as many plain letters as the
     # chunk has mean one each
     labels = tuple(l.name for l in norm if type(l) is FreeLetter)
     if len(labels) == len(chunk):
         return labels
-    for letter in chunk:  # the first faulty letter gives the message
+    # otherwise some letter is faulty, and the first one gives the message
+    for letter in chunk:
         norm = normalize_uobj((letter,), env.phi)
         if len(norm) != 1 or not isinstance(norm[0], FreeLetter):
             raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
-    return labels
 
 
 def _check_flavor(f: tuple, env: _Env) -> None:
@@ -532,44 +533,26 @@ def _check_flavor(f: tuple, env: _Env) -> None:
         raise ElabError("perm(..) is only available in the symmetric flavor", env.span)
 
 
-def _content(f: tuple, n: int, env: _Env, word_what: str, perm_misfit: str):
-    """A braid word or perm(..) factor as the content of a morphism on n
-    strands: a braid in flavor B, a permutation in flavor S. perm_misfit
-    formats the error for a perm of the wrong length."""
+def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> FreeMor:
+    """An id, braid-word or perm(..) factor as a free morphism on the word
+    x. part is "inner" or "outer" for a part of pf(..), whose misfits it
+    names, and "" for a factor of a row, which is taken at its own width."""
+    if f[0] == "id":
+        return fmor_id(env.flavor, x)
+    if f[0] not in ("word", "perm"):
+        where = "appear inside" if part == "inner" else "be the outer part of"
+        raise ElabError(f"{f[0]} cannot {where} pf(..)", env.span)
     _check_flavor(f, env)
+    n = len(x)
     if f[0] == "perm":
         if len(f[1]) != n:
-            raise ElabError(perm_misfit.format(len(f[1]), n), env.span)
-        return f[1]
+            misfit = "perm of length {} on a block of {}" if part == "inner" else "outer perm of length {} on {} blocks"
+            raise ElabError(misfit.format(len(f[1]), n), env.span)
+        return fmor_of_perm(x, f[1])
     if any(abs(l) > n - 1 for l in f[1]):
-        raise ElabError(f"{word_what} uses strand {max(abs(l) for l in f[1]) + 1}, only {n} available", env.span)
+        raise ElabError(f"{part} word uses strand {max(abs(l) for l in f[1]) + 1}, only {n} available", env.span)
     word = BraidWord(n, f[1])
-    return word if env.flavor == "B" else braid_perm(word)
-
-
-def _fmor_of_content(x: tuple[str, ...], content, env: _Env) -> FreeMor:
-    return fmor_of_braid(x, content) if env.flavor == "B" else fmor_of_perm(x, content)
-
-
-def _inner_mor(f: tuple, block: tuple[str, ...], env: _Env) -> FreeMor:
-    """A factor elaborated as a plain morphism over the source generators,
-    at the exact width of its block."""
-    if f[0] == "id":
-        return fmor_id(env.flavor, block)
-    if f[0] in ("word", "perm"):
-        content = _content(f, len(block), env, "inner word", "perm of length {} on a block of {}")
-        return _fmor_of_content(block, content, env)
-    raise ElabError(f"{f[0]} cannot appear inside pf(..)", env.span)
-
-
-def _outer_content(f: tuple, k: int, env: _Env):
-    if f[0] == "id":
-        if env.flavor == "M":
-            return None
-        return identity_perm(k) if env.flavor == "S" else BraidWord(k, ())
-    if f[0] in ("word", "perm"):
-        return _content(f, k, env, "outer word", "outer perm of length {} on {} blocks")
-    raise ElabError(f"{f[0]} cannot be the outer part of pf(..)", env.span)
+    return fmor_of_braid(x, word) if env.flavor == "B" else fmor_of_perm(x, braid_perm(word))
 
 
 def _elab_factor(
@@ -594,8 +577,7 @@ def _elab_factor(
             chunk = _take(remaining, width, "braid word", env)
             if not f[1]:
                 return UId(normalize_uobj(chunk, phi)), chunk
-        labels = _free_labels(chunk, env)
-        u = _fmor_of_content(labels, _content(f, len(chunk), env, "word", ""), env)
+        u = _free_mor(f, _free_labels(chunk, env), env, "")
         return UFree(u), permute(chunk, underlying_permutation(u))
 
     if f[0] in ("q", "qinv"):
@@ -628,10 +610,9 @@ def _elab_factor(
             if not isinstance(letter, PhiLetter):
                 raise ElabError(f"pf expects formed letters, found {format_uobj((letter,))}", env.span)
             blocks.append(letter.word)
-        inners = tuple(_inner_mor(g, w, env) for g, w in zip(inners_ast, blocks))
-        outer = _outer_content(f[1], len(blocks), env)
-        targets = permute([u.target for u in inners], _content_perm(env.flavor, outer, len(inners)))
-        m2 = FreeMor2(env.flavor, tuple(blocks), tuple(targets), outer, inners)
+        inners = tuple(_free_mor(g, w, env, "inner") for g, w in zip(inners_ast, blocks))
+        outer = _free_mor(f[1], tuple(u.target for u in inners), env, "outer")
+        m2 = FreeMor2(env.flavor, tuple(blocks), outer.target, outer.content, inners)
         return UPhiFree(m2), [PhiLetter(w) for w in m2.target]
 
     if f[0] == "braid":

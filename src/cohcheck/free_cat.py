@@ -131,14 +131,18 @@ def fmor_id(flavor: Flavor, x: tuple[Label, ...]) -> FreeMor:
 
 
 def fmor_of_perm(x: tuple[Label, ...], p: Perm) -> FreeMor:
-    """The target is built from the permutation, so only p is checked."""
+    """The target is built from p, so only x and p are checked."""
+    if type(x) is not tuple:
+        raise StructureError("the source word must be a tuple")
     if not (type(p) is tuple and len(p) == len(x) and is_perm(p)):
         raise StructureError("flavor S needs a permutation of the source length")
     return tuple.__new__(FreeMor, ("S", x, tuple(permute(x, p)), p))
 
 
 def fmor_of_braid(x: tuple[Label, ...], w: BraidWord) -> FreeMor:
-    """The target is built from the word, so only the width is checked."""
+    """The target is built from w, so only x and w's width are checked."""
+    if type(x) is not tuple:
+        raise StructureError("the source word must be a tuple")
     if not isinstance(w, BraidWord) or w.n != len(x):
         raise StructureError("flavor B needs a braid word on the source strands")
     return tuple.__new__(FreeMor, ("B", x, tuple(permute(x, braid_perm(w))), w))

@@ -66,23 +66,15 @@ class FunctorSpec:
     name: str = "functor"
 
 
-_NFOLD_RE = re.compile(r"nfold\((\d+)\)$")
+_NFOLD_RE = re.compile(r"nfold\(([0-9]+)\)$")
 
 
 def make_builtin_spec(kind: str, gens: GenSet, flavor: Flavor) -> FunctorSpec:
     """identity, doubling, or nfold(n): the n-fold copying functor whose
-    binary constraint shuffles the copies into n interleaved groups."""
+    binary constraint shuffles the copies into n interleaved groups. The
+    identity is the one-fold copy and doubling the two-fold one."""
     if kind == "identity":
-        return FunctorSpec(
-            flavor,
-            gens,
-            gens,
-            obj=lambda x: x,
-            mor=lambda u: u,
-            f2=lambda x, y: fmor_id(flavor, x + y),
-            f0=lambda: fmor_id(flavor, ()),
-            name="identity",
-        )
+        return _nfold(1, gens, flavor, name="identity")
     if kind == "doubling":
         return _nfold(2, gens, flavor, name="doubling")
     if m := _NFOLD_RE.match(kind):

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .braid_core import braid_id
 from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
 from .free_cat import (
     Flavor,
@@ -225,7 +224,7 @@ def zeta(u: FreeMor) -> UPhiFree:
     """The image of a source free morphism under the universal map: one
     formed letter moving to another, from phi_object((u.source,), phi) to
     phi_object((u.target,), phi)."""
-    outer = None if u.flavor == "M" else (0,) if u.flavor == "S" else braid_id(1)
+    outer = fmor_id(u.flavor, (u.source,)).content
     return UPhiFree(FreeMor2(u.flavor, (u.source,), (u.target,), outer, (u,)))
 
 

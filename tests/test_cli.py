@@ -103,6 +103,11 @@ MALFORMED_LINES = [
     ("node x = [\u00e9]", "unexpected character '\u00e9'", 1, 11),
     ("gens A = { a, \u03b2 }", "unexpected character '\u03b2'", 1, 15),
     ("flavor braided\n  node x = [a] ?", "unexpected character '?'", 2, 16),
+    # numbers are ASCII digits only
+    ("edge e : n -> n = perm(\u0662 \u0661)", "unexpected character '\u0662'", 1, 24),
+    ("functor F = nfold(\u0663) on A", "unexpected character '\u0663'", 1, 19),
+    # the end of a line is where its code ends, before any comment
+    ("node x = # note", "unexpected end of line", 1, 10),
 ]
 
 
@@ -113,6 +118,7 @@ MALFORMED_LINES = [
         "dollar-start", "dollar-middle", "dollar-end", "after-tab", "after-tab-only",
         "after-quoted-word", "after-quoted-word-and-space", "unterminated-quote",
         "non-ascii-letter", "non-ascii-name", "second-line",
+        "non-ascii-strand", "non-ascii-count", "end-before-comment",
     ],
 )
 def test_tokenizer_error_spans(text, message, line, col):
@@ -129,8 +135,9 @@ def test_tokenizer_error_spans(text, message, line, col):
         ("s1 s0", "braid letters are numbered from 1", 22),
         ("s1 s2^-1 s0 s3", "braid letters are numbered from 1", 28),
         ("s2 s" + "1" * 5000, "a number of 5000 digits is too long", 22),
+        ('"s\u0661"', "'s\u0661' is not a braid letter", 19),
     ],
-    ids=["first-letter", "second-letter", "third-letter", "long-number-second"],
+    ids=["first-letter", "second-letter", "third-letter", "long-number-second", "quoted-non-ascii-digit"],
 )
 def test_bare_word_errors_point_at_their_letter(expr, message, col):
     with pytest.raises(ParseError) as exc:
@@ -598,12 +605,14 @@ def test_braid_eq_bad_letter():
         (["check", str(FIXTURES / "pair.coh"), "--json", "missing/x.json"], 2),
         (["check", "letter_digits.coh"], 2),
         (["check", "strand_digits.coh"], 2),
+        (["braid-eq", "s\u0661", "", "--strands", "3"], 2),
     ],
     ids=[
         "braid-eq-negative-strands", "braid-eq-letter-past-int-limit",
         "check-nfold-5000", "check-nfold-count-past-int-limit",
         "check-source-not-utf8", "check-json-unwritable",
         "check-letter-past-int-limit", "check-strand-past-int-limit",
+        "braid-eq-non-ascii-digit",
     ],
 )
 def test_exit_contract(tmp_path, args, status):

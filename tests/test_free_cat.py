@@ -171,11 +171,14 @@ _INNERS = (fmor_id("S", ("a",)), fmor_id("S", ("b",)))
         lambda: FreeMor2("S", (["a"], ("b",)), _BLOCKS, (0, 1), _INNERS),
         lambda: FreeMor2("S", _BLOCKS, (("a",), ["b"]), (0, 1), _INNERS),
         lambda: FreeMor2("S", _BLOCKS, _BLOCKS, (0, 1), list(_INNERS)),
+        lambda: fmor_of_perm(["a", "b"], (1, 0)),
+        lambda: fmor_of_braid(["a", "b"], BraidWord(2, (1,))),
     ],
     ids=[
         "perm-of-str", "perm-of-float", "outer-perm-of-float", "letter-str", "strands-str", "letter-float",
         "letters-list", "letters-int", "source-list", "target-list", "boundary-lists", "boundary-ints",
         "source2-list", "target2-list", "source-block-list", "target-block-list", "inners-list",
+        "perm-source-list", "braid-source-list",
     ],
 )
 def test_wrong_element_types_are_structure_errors(build):
