@@ -563,10 +563,15 @@ def test_check_verdict_lines_go_to_stderr():
 
 
 def test_color_forced_and_stripped():
-    colored = run("check", str(FIXTURES / "notequal.coh"), env={"COH_COLOR": "1"})
-    plain = run("check", str(FIXTURES / "notequal.coh"), env={"COH_COLOR": "0"})
-    assert "\x1b[" in colored.stderr
-    assert "\x1b[" not in plain.stderr
+    for name, line in (
+        ("cursed_lift.coh", "goal natq: \x1b[32mequal\x1b[0m\n"),
+        ("mystery3.coh", "goal natb: \x1b[33mequal_in_s_only\x1b[0m\n"),
+        ("notequal.coh", "goal diff: \x1b[31mnot_equal\x1b[0m\n"),
+    ):
+        colored = run("check", str(FIXTURES / name), env={"COH_COLOR": "1"})
+        plain = run("check", str(FIXTURES / name), env={"COH_COLOR": "0"})
+        assert colored.stderr == line
+        assert "\x1b[" not in plain.stderr
 
 
 def test_dissolve_lists_edges_and_goal_words():
@@ -606,13 +611,18 @@ def test_braid_eq_bad_letter():
         (["check", "letter_digits.coh"], 2),
         (["check", "strand_digits.coh"], 2),
         (["braid-eq", "s\u0661", "", "--strands", "3"], 2),
+        ([], 2),
+        (["frob"], 2),
+        (["render", str(FIXTURES / "pair.coh")], 2),
+        (["braid-eq", "s1", "s1", "--strands", "abc"], 2),
     ],
     ids=[
         "braid-eq-negative-strands", "braid-eq-letter-past-int-limit",
         "check-nfold-5000", "check-nfold-count-past-int-limit",
         "check-source-not-utf8", "check-json-unwritable",
         "check-letter-past-int-limit", "check-strand-past-int-limit",
-        "braid-eq-non-ascii-digit",
+        "braid-eq-non-ascii-digit", "no-command", "unknown-command",
+        "render-without-edge", "braid-eq-strands-not-a-number",
     ],
 )
 def test_exit_contract(tmp_path, args, status):
