@@ -30,18 +30,18 @@ letter per inner morphism, and ``braid(X, Y)`` the width of ``X ; Y``.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Sequence
-
-import click
+from typing import Callable, NoReturn, Sequence
 
 from .braid_core import (
-    _LETTER_RE, BraidWord, braid_perm, braid_str, normalize_braid, perm_braid, permute,
+    _LETTER_RE, BraidWord, braid_equal, braid_perm, braid_str, normalize_braid, parse_braid,
+    perm_braid, permute,
 )
 from .diagram_check import (
     EQUAL,
@@ -766,15 +766,6 @@ def render_braid_ascii(w: BraidWord, labels: Sequence[str]) -> str:
 
 # -- commands --------------------------------------------------------------------
 
-def _color_enabled() -> bool | None:
-    setting = os.environ.get("COH_COLOR")
-    if setting == "0":
-        return False
-    if setting == "1":
-        return True
-    return None
-
-
 def _load(path: str) -> Diagram:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -784,45 +775,17 @@ def _load(path: str) -> Diagram:
     return build_diagram(parse_source(text))
 
 
-_VERDICT_COLORS = {EQUAL: "green", EQUAL_IN_S_ONLY: "yellow"}
+_VERDICT_COLORS = {EQUAL: 32, EQUAL_IN_S_ONLY: 33}  # ANSI green and yellow; red otherwise
 
 
-class _ExitContract(click.Group):
-    """A CohError that escapes a command exits 2; any other exception is a
-    bug and exits 3, so that a crash never reads as a verdict."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (click.exceptions.Exit, click.Abort, click.ClickException):
-            raise
-        except CohError as err:
-            click.echo(f"error: {err}", err=True)
-            sys.exit(2)
-        except Exception as err:
-            click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_ExitContract)
-def main() -> None:
-    """Decide whether diagrams of braids, permutations, and constraint
-    collapses commute."""
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--symmetric-ok", is_flag=True, help="Exit 0 when braids differ but permutations agree.")
-@click.option("--json", "json_path", type=click.Path(), default=None, help="Also write the verdicts to a file.")
-def check(file: str, symmetric_ok: bool, json_path: str | None) -> None:
+def check(file: str, symmetric_ok: bool, json_path: str | None) -> int:
     """Check every goal and print the verdict array."""
     d = _load(file)
     try:
         reports = [explain_goal(d, g) for g in d.goals]
     except CohError as err:
-        click.echo(json.dumps({"error": str(err)}))
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+        print(json.dumps({"error": str(err)}))
+        raise
     blob = json.dumps([report_json(r) for r in reports], indent=2)
     if json_path is not None:  # before any output, so that a failed write prints no verdicts
         try:
@@ -830,30 +793,26 @@ def check(file: str, symmetric_ok: bool, json_path: str | None) -> None:
                 handle.write(blob + "\n")
         except OSError as err:
             raise CohError(f"{json_path}: {err.strerror or err}") from None
-    color = _color_enabled()
+    color = {"0": False, "1": True}.get(os.environ.get("COH_COLOR"), sys.stderr.isatty())
     for r in reports:
-        tone = _VERDICT_COLORS.get(r.verdict, "red")
-        click.echo(
-            f"goal {r.goal}: " + click.style(r.verdict, fg=tone), err=True,
-            color=color,
-        )
-    click.echo(blob)
+        verdict = f"\x1b[{_VERDICT_COLORS.get(r.verdict, 31)}m{r.verdict}\x1b[0m" if color else r.verdict
+        print(f"goal {r.goal}: {verdict}", file=sys.stderr)
+    print(blob)
     passing = {EQUAL, EQUAL_IN_S_ONLY} if symmetric_ok else {EQUAL}
-    sys.exit(0 if all(r.verdict in passing for r in reports) else 1)
+    return 0 if all(r.verdict in passing for r in reports) else 1
 
 
-@main.command("dissolve")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-def dissolve_cmd(file: str) -> None:
+def dissolve_cmd(file: str) -> int:
     """Print every edge's dissolution, then each goal side's composite."""
     d = _load(file)
     for name in d.edges:
         u = dissolve_path(d, (name,))
-        click.echo(f"edge {name}: {' '.join(u.source)} -> {' '.join(u.target)}  {_content_str(u, d.flavor)}")
+        print(f"edge {name}: {' '.join(u.source)} -> {' '.join(u.target)}  {_content_str(u, d.flavor)}")
     for g in d.goals:
         for label, path in (("left", g.left), ("right", g.right)):
             u = dissolve_path(d, path)
-            click.echo(f"goal {g.name} {label}: {_content_str(u, d.flavor)}  nf {_nf_str(u, d.flavor)}")
+            print(f"goal {g.name} {label}: {_content_str(u, d.flavor)}  nf {_nf_str(u, d.flavor)}")
+    return 0
 
 
 def _content_str(u: FreeMor, flavor: Flavor) -> str:
@@ -872,31 +831,67 @@ def _nf_str(u: FreeMor, flavor: Flavor) -> str:
     return "id"
 
 
-@main.command("braid-eq")
-@click.argument("w1")
-@click.argument("w2")
-@click.option("--strands", type=int, required=True)
-def braid_eq(w1: str, w2: str, strands: int) -> None:
+def braid_eq(w1: str, w2: str, strands: int) -> int:
     """Decide equality of two braid words on the given strand count."""
-    from .braid_core import braid_equal, parse_braid
-
-    u = parse_braid(w1, strands)
-    v = parse_braid(w2, strands)
-    if braid_equal(u, v):
-        click.echo("equal")
-        sys.exit(0)
-    click.echo("not equal")
-    sys.exit(1)
+    u, v = parse_braid(w1, strands), parse_braid(w2, strands)
+    # B_m embeds in B_n, so the words are compared on the strands they use:
+    # the normal form's work grows with the strand count.
+    m = min(strands, max(map(abs, u.letters + v.letters), default=0) + 1)
+    equal = braid_equal(BraidWord(m, u.letters), BraidWord(m, v.letters))
+    print("equal" if equal else "not equal")
+    return 0 if equal else 1
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--edge", "edge_name", required=True)
-def render(file: str, edge_name: str) -> None:
+def render(file: str, edge_name: str) -> int:
     """Draw an edge's dissolved braid."""
     d = _load(file)
     u = dissolve_path(d, (edge_name,))
-    click.echo(render_braid_ascii(display_braid(u), u.source))
+    print(render_braid_ascii(display_braid(u), u.source))
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="coh", allow_abbrev=False,
+        description="Decide whether diagrams of braids, permutations, and constraint collapses commute.",
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def add(name: str, command: Callable[..., int]) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=command.__doc__, description=command.__doc__, allow_abbrev=False)
+        sub.set_defaults(command=command)
+        return sub
+
+    sub = add("check", check)
+    sub.add_argument("file")
+    sub.add_argument("--symmetric-ok", action="store_true", help="Exit 0 when braids differ but permutations agree.")
+    sub.add_argument("--json", dest="json_path", metavar="PATH", help="Also write the verdicts to a file.")
+    add("dissolve", dissolve_cmd).add_argument("file")
+    sub = add("braid-eq", braid_eq)
+    sub.add_argument("w1")
+    sub.add_argument("w2")
+    sub.add_argument("--strands", type=int, required=True)
+    sub = add("render", render)
+    sub.add_argument("file")
+    sub.add_argument("--edge", dest="edge_name", metavar="NAME", required=True)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> NoReturn:
+    """Run one command and exit with its status: 0 or 1 for a verdict, 2
+    for bad input (a usage error or a CohError), 3 for any other exception,
+    which is a bug, so that a crash never reads as a verdict."""
+    args = vars(_parser().parse_args(argv))  # a usage error exits 2 here
+    command = args.pop("command")
+    try:
+        status = command(**args)
+    except CohError as err:
+        print(f"error: {err}", file=sys.stderr)
+        status = 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        status = 3
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import collections
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 import cohcheck
 from cohcheck.braid_core import BraidWord, braid_equal, parse_braid
@@ -43,8 +46,19 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-def run(*args: str, **kwargs) -> object:
-    return CliRunner().invoke(main, list(args), **kwargs)
+def run(*args: str, env: dict[str, str] | None = None) -> SimpleNamespace:
+    """Run `coh` in-process with `env` laid over the environment. The
+    exit status is read from the SystemExit that main raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as stop:
+            exit_code, exception = stop.code, stop if stop.code else None
+    return SimpleNamespace(
+        exit_code=exit_code, stdout=out.getvalue(), stderr=err.getvalue(),
+        output=out.getvalue() + err.getvalue(), exception=exception,
+    )
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -586,11 +600,16 @@ def test_dissolve_lists_edges_and_goal_words():
 def test_braid_eq_equal():
     r = run("braid-eq", "s3 s4 s2", "s3 s2 s4", "--strands", "6")
     assert (r.exit_code, r.stdout.strip()) == (0, "equal")
+    # compared on the strands the words use, not on all 10^12
+    r = run("braid-eq", "s1 s2 s1", "s2 s1 s2", "--strands", str(10**12))
+    assert (r.exit_code, r.stdout, r.stderr) == (0, "equal\n", "")
 
 
 def test_braid_eq_unequal():
     r = run("braid-eq", "s3 s1 s2", "s2 s2 s1 s3 s2", "--strands", "4")
     assert (r.exit_code, r.stdout.strip()) == (1, "not equal")
+    r = run("braid-eq", "s1 s2", "s2 s1", "--strands", str(10**12))
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "not equal\n", "")
 
 
 def test_braid_eq_bad_letter():
@@ -662,6 +681,12 @@ def test_unreadable_files_are_input_errors(tmp_path):
     assert r.stderr == f"error: {out}: No such file or directory\n"
     r = run("check", str(FIXTURES / "pair.coh"), "--json", str(tmp_path))
     assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {tmp_path}: Is a directory\n")
+    # a FILE that is missing or a directory
+    missing = tmp_path / "missing.coh"
+    for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        for args in (["check", str(path)], ["dissolve", str(path)], ["render", str(path), "--edge", "e"]):
+            r = run(*args)
+            assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {path}: {reason}\n")
 
 
 def test_numbers_past_int_limit_are_parse_errors():

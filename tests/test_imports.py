@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in that module. No linter
-runs on the project, and a deletion can leave an import behind."""
+"""Every name a library module imports is used in that module, and every
+module it imports is its own or the standard library's. No linter runs on
+the project, and a deletion can leave an import behind."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,17 @@ def test_every_imported_name_is_used(path):
             imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_standard_library_is_imported(path):
+    # the library has no runtime dependency
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            outside += [alias.name for alias in node.names if alias.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] not in sys.stdlib_module_names:
+                outside.append(node.module)
+    assert outside == []
