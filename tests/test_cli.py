@@ -501,6 +501,30 @@ def test_check_interp_disagreeing_with_functor_exits_2(tmp_path):
     assert "error" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "command, text, status, stdout, stderr",
+    [
+        (
+            "dissolve", _tiny("node n = [fa fb]\nedge e : n -> n = id\ngoal g : e == e\n", flavor="monoidal"), 0,
+            "edge e: fa fb -> fa fb  id\ngoal g left: id  nf id\ngoal g right: id  nf id\n", "",
+        ),
+        ("check", "flavor braided\ngens A = { a }\n", 2, "", "error: file declares no map\n"),
+        (
+            "check", _tiny("node n = [fa]\nfunctor D = doubling on A\n", flavor="monoidal"), 2, "",
+            "error: line 6, col 1: functor D: copying functors need a braiding; flavor M has none\n",
+        ),
+        ("check", _tiny("node n = [fa]\ninterp zz = [a a]\n"), 2, "", "error: line 6, col 1: 'zz' is not a generator of A2\n"),
+        ("check", _tiny("node n = [fa]\ninterp fa = [a zz]\n"), 2, "", "error: line 6, col 1: 'zz' is not a generator of A\n"),
+    ],
+    ids=["dissolve-monoidal", "no-map", "copying-functor-in-monoidal", "interp-of-no-generator", "interp-by-no-generator"],
+)
+def test_command_output(tmp_path, command, text, status, stdout, stderr):
+    path = tmp_path / "file.coh"
+    path.write_text(text, encoding="utf-8")
+    r = run(command, str(path))
+    assert (r.exit_code, r.stdout, r.stderr) == (status, stdout, stderr)
+
+
 def _check_says_equal(path: Path) -> None:
     r = run("check", str(path))
     assert r.exception is None

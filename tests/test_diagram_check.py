@@ -236,6 +236,9 @@ def test_explain_without_validation_matches_validated(build):
     validate_diagram(checked)
     assert len(checked.residues) == len(checked.edges)
     assert not lazy.residues
+    # the residues are a cache, outside equality and repr
+    assert lazy == checked and not lazy != checked
+    assert "residues" not in repr(checked)
     for g in lazy.goals:
         assert explain_goal(lazy, g) == explain_goal(checked, g)
 

@@ -415,6 +415,21 @@ def test_letter_records():
     assert (keyed[FreeLetter("a")], keyed[PhiLetter(("a",))]) == ("plain", "formed")
 
 
+def test_terms_compare_only_within_their_kind():
+    # each pair has equal fields, and FreeLetter("a") == ("a",)
+    a, b = UId((FA,)), UId((FB,))
+    for s, t in (
+        (UCompose(a, b), UTensor(a, b)),
+        (UPhiQ((("a", "b"),)), UPhiQInv((("a", "b"),))),
+        (UPhiQ((("a",),)), UId((FreeLetter("a"),))),
+    ):
+        assert not s == t and s != t
+        assert not t == s and t != s
+    same = UCompose(UId((FreeLetter("a"),)), UId((FreeLetter("b"),)))
+    assert same == UCompose(a, b) and not same != UCompose(a, b)
+    assert hash(same) == hash(UCompose(a, b))
+
+
 IDENTITY_S = make_builtin_spec("identity", AB, "S")
 INTERP_AB = {"a": ("a",), "b": ("b",)}
 FA, FB = FreeLetter("a"), FreeLetter("b")
