@@ -35,9 +35,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, NoReturn, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .braid_core import (
     _LETTER_RE, BraidWord, braid_equal, braid_perm, braid_str, normalize_braid, parse_braid,
@@ -178,8 +178,7 @@ MorAst = tuple
 FunAst = tuple
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     flavor: Flavor | None = None
     gens: tuple[tuple[str, tuple[str, ...]], ...] = ()
     objmap: tuple[str, str, str, tuple[tuple[str, str], ...]] | None = None
@@ -188,14 +187,11 @@ class SourceFile:
     functors: tuple[tuple[str, FunAst], ...] = ()
     interps: tuple[tuple[str, tuple[str, ...]], ...] = ()
     goals: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = ()
-    spans: dict[tuple[str, str], SourceSpan] = field(default_factory=dict)
+    spans: Mapping[tuple[str, str], SourceSpan] = MappingProxyType({})  # one default for all, so read-only
 
     def structure(self) -> tuple:
         """Everything but the spans; the round-trip invariant compares this."""
-        return (
-            self.flavor, self.gens, self.objmap, self.nodes,
-            self.edges, self.functors, self.interps, self.goals,
-        )
+        return self[:-1]
 
 
 def _number(digits: str, cur: _Cursor, i: int) -> int:
@@ -475,8 +471,7 @@ def _resolve(sf: SourceFile) -> None:
 
 # -- elaboration -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Env:
+class _Env(NamedTuple):
     phi: ObjMap
     flavor: Flavor
     mapname: str

@@ -12,9 +12,8 @@ symmetric and plain flavors collapse to a binary verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .braid_core import Perm, braid_str, normalize_braid, perm_one_line
 from .errors import BoundaryError, PathError, UnknownName, UnsupportedOp
@@ -29,16 +28,14 @@ NOT_EQUAL = "not_equal"
 Verdict = str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     name: str
     source: str
     target: str
     term: UMor
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(NamedTuple):
     """A parallel pair of paths, each a tuple of edge names written
     outermost-first: the last name is applied first."""
 
@@ -47,8 +44,7 @@ class Goal:
     right: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _DiagramFields(NamedTuple):
     flavor: Flavor
     phi: ObjMap
     nodes: dict[str, UObj]
@@ -56,8 +52,15 @@ class Diagram:
     goals: tuple[Goal, ...]
     functor: FunctorSpec | None = None
     interp: dict[str, Obj] | None = None
-    # edge name -> (the edge, its dissolved term), filled by _edge_residue
-    residues: dict[str, tuple[Edge, FreeMor]] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+
+class Diagram(_DiagramFields):
+    # residues, an attribute and so outside equality and repr: edge name ->
+    # (the edge, its dissolved term), filled by _edge_residue
+    def __new__(cls, *args, **kwargs) -> Diagram:
+        self = super().__new__(cls, *args, **kwargs)
+        self.residues: dict[str, tuple[Edge, FreeMor]] = {}
+        return self
 
 
 def _edge_residue(d: Diagram, e: Edge) -> FreeMor:
@@ -133,8 +136,7 @@ def compose_path(d: Diagram, path: Sequence[str], at: str | None = None) -> UMor
     return term
 
 
-@dataclass(frozen=True)
-class _Residue:
+class _Residue(NamedTuple):
     """What is left of a goal side once every constraint is dissolved:
     the free morphism, its permutation shadow and what equality compares,
     the normal form in flavor B and the content otherwise."""
@@ -171,15 +173,13 @@ def check_goal(d: Diagram, goal: Goal) -> Verdict:
     return _verdict(_residue(d, goal.left), _residue(d, goal.right))
 
 
-@dataclass(frozen=True)
-class SideReport:
+class SideReport(NamedTuple):
     word: str
     nf: str
     perm: Perm
 
 
-@dataclass(frozen=True)
-class GoalReport:
+class GoalReport(NamedTuple):
     goal: str
     verdict: Verdict
     left: SideReport

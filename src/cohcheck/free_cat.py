@@ -13,7 +13,6 @@ both levels; at depth two the "generators" are themselves tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple
 
 from .braid_core import (
@@ -49,16 +48,20 @@ Label = Gen | Obj
 Content = None | Perm | BraidWord
 
 
-@dataclass(frozen=True)
-class GenSet:
+class _GenSetFields(NamedTuple):
     name: str
     names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise StructureError(f"generator set {self.name}: duplicate names")
-        if any(not n for n in self.names):
-            raise StructureError(f"generator set {self.name}: empty name")
+
+class GenSet(_GenSetFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, names: tuple[str, ...]) -> GenSet:
+        if len(set(names)) != len(names):
+            raise StructureError(f"generator set {name}: duplicate names")
+        if any(not n for n in names):
+            raise StructureError(f"generator set {name}: empty name")
+        return tuple.__new__(cls, (name, names))
 
     def __contains__(self, g: str) -> bool:
         return g in self.names

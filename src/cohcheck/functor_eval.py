@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import BoundaryError, FlavorError, InterpError, StructureError, UnsupportedOp
 from .free_cat import (
@@ -54,8 +53,7 @@ from .ualg import (
 )
 
 
-@dataclass(frozen=True)
-class FunctorSpec:
+class FunctorSpec(NamedTuple):
     flavor: Flavor
     source: GenSet
     target: GenSet
@@ -158,16 +156,14 @@ def compose_specs(g: FunctorSpec, f: FunctorSpec) -> FunctorSpec:
 # -- axiom checking -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     axiom: str
     witness: tuple
     left: FreeMor
     right: FreeMor
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     functor: str
     failures: tuple[AxiomFailure, ...]
     checked: int

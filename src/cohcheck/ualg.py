@@ -31,7 +31,6 @@ one-letter blocks (zeta_flat); dissolving either gives the morphism back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
@@ -53,29 +52,32 @@ from .free_cat import (
 )
 
 
-@dataclass(frozen=True)
-class ObjMap:
-    """A total map between generator sets. It memoizes the normal forms
-    of letters, plain words and block tuples seen under it; the memos take
-    no part in equality, hashing or repr."""
-
+class _ObjMapFields(NamedTuple):
     source: GenSet
     target: GenSet
     pairs: tuple[tuple[str, str], ...]
-    letters: dict[ULetter, UObj] = field(default_factory=dict, init=False, compare=False, repr=False)
-    free_words: dict[Obj, UObj] = field(default_factory=dict, init=False, compare=False, repr=False)
-    block_words: dict[Tuple2, UObj] = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        seen = dict(self.pairs)
-        for g in self.source.names:
+
+class ObjMap(_ObjMapFields):
+    """A total map between generator sets; a call checks the pairs. It
+    memoizes the normal forms of letters, plain words and block tuples seen
+    under it in attributes, which take no part in equality, hashing or repr."""
+
+    def __new__(cls, source: GenSet, target: GenSet, pairs: tuple[tuple[str, str], ...]) -> ObjMap:
+        seen = dict(pairs)
+        for g in source.names:
             if g not in seen:
                 raise StructureError(f"map is not total: no image for {g!r}")
-        for g, img in self.pairs:
-            if g not in self.source:
-                raise UnknownName(f"map source {g!r} is not in {self.source.name}")
-            if img not in self.target:
-                raise UnknownName(f"map image {img!r} is not in {self.target.name}")
+        for g, img in pairs:
+            if g not in source:
+                raise UnknownName(f"map source {g!r} is not in {source.name}")
+            if img not in target:
+                raise UnknownName(f"map image {img!r} is not in {target.name}")
+        self = tuple.__new__(cls, (source, target, pairs))
+        self.letters: dict[ULetter, UObj] = {}
+        self.free_words: dict[Obj, UObj] = {}
+        self.block_words: dict[Tuple2, UObj] = {}
+        return self
 
     def __call__(self, g: str) -> str:
         for src, img in self.pairs:
@@ -169,52 +171,50 @@ def uobj_dissolve(x: UObj, phi: ObjMap) -> Obj:
 # -- morphism terms -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UFree:
+class UFree(NamedTuple):
     mor: FreeMor
 
 
-@dataclass(frozen=True)
-class UPhiFree:
+class UPhiFree(NamedTuple):
     mor: FreeMor2
 
 
-@dataclass(frozen=True)
-class UPhiQ:
+class UPhiQ(NamedTuple):
     blocks: Tuple2
 
 
-@dataclass(frozen=True)
-class UPhiQInv:
+class UPhiQInv(NamedTuple):
     blocks: Tuple2
 
 
-@dataclass(frozen=True)
-class UBraiding:
+class UBraiding(NamedTuple):
     x: UObj
     y: UObj
 
 
-@dataclass(frozen=True)
-class UId:
+class UId(NamedTuple):
     obj: UObj
 
 
-@dataclass(frozen=True)
-class UCompose:
+class UCompose(NamedTuple):
     """after is applied second: UCompose(after, first)."""
 
     after: "UMor"
     first: "UMor"
 
 
-@dataclass(frozen=True)
-class UTensor:
+class UTensor(NamedTuple):
     left: "UMor"
     right: "UMor"
 
 
 UMor = Union[UFree, UPhiFree, UPhiQ, UPhiQInv, UBraiding, UId, UCompose, UTensor]
+
+# a named tuple equals every tuple of equal fields; a term equals only terms of its own kind
+for _kind in UMor.__args__:
+    _kind.__eq__ = lambda s, o: type(s) is type(o) and tuple.__eq__(s, o)
+    _kind.__ne__ = lambda s, o: not s == o
+    _kind.__hash__ = tuple.__hash__
 
 
 # -- the two sections ----------------------------------------------------------

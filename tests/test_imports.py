@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, and every
-module it imports is its own or the standard library's. No linter runs on
-the project, and a deletion can leave an import behind."""
+module it imports is its own or the standard library's, other than
+dataclasses. No linter runs on the project, and a deletion can leave an
+import behind."""
 
 from __future__ import annotations
 
@@ -27,15 +28,25 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
+def _imported_modules(path: Path) -> list[str]:
+    """The modules a file imports by absolute name."""
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return modules
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_standard_library_is_imported(path):
     # the library has no runtime dependency
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    outside = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            outside += [alias.name for alias in node.names if alias.name.split(".")[0] not in sys.stdlib_module_names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module.split(".")[0] not in sys.stdlib_module_names:
-                outside.append(node.module)
+    outside = [m for m in _imported_modules(path) if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_records_are_named_tuples(path):
+    # one record idiom: every library record is a NamedTuple, none a dataclass
+    assert "dataclasses" not in _imported_modules(path)
