@@ -779,7 +779,7 @@ def check(file: str, symmetric_ok: bool, json_path: str | None) -> int:
     try:
         reports = [explain_goal(d, g) for g in d.goals]
     except CohError as err:
-        print(json.dumps({"error": str(err)}))
+        print(json.dumps({"error": str(err)}), flush=True)  # a closed stdout fails here, as in main
         raise
     blob = json.dumps([report_json(r) for r in reports], indent=2)
     if json_path is not None:  # before any output, so that a failed write prints no verdicts
@@ -874,14 +874,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> NoReturn:
     """Run one command and exit with its status: 0 or 1 for a verdict, 2
-    for bad input (a usage error or a CohError), 3 for any other exception,
-    which is a bug, so that a crash never reads as a verdict."""
+    for a usage error, a CohError or a closed stdout, 3 for any other
+    exception, which is a bug, so that a crash never reads as a verdict."""
     args = vars(_parser().parse_args(argv))  # a usage error exits 2 here
     command = args.pop("command")
     try:
         status = command(**args)
+        print(end="", flush=True)  # so that a closed stdout fails here, not at exit; no stdout passes
     except CohError as err:
         print(f"error: {err}", file=sys.stderr)
+        status = 2
+    except BrokenPipeError as err:  # Python flushes stdout again at exit, now into the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: <stdout>: {err.strerror}", file=sys.stderr)
         status = 2
     except Exception as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -682,14 +682,49 @@ def test_exit_contract(tmp_path, args, status):
     (tmp_path / "strand_digits.coh").write_text(
         fixture_text("notequal.coh").replace("perm(2 1)", "perm(2 " + "1" * 5000 + ")"), encoding="utf-8"
     )
-    src = str(Path(cohcheck.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     r = subprocess.run(
-        [sys.executable, "-m", "cohcheck.cli", *args], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-m", "cohcheck.cli", *args], cwd=tmp_path, env=_child_env(), capture_output=True, text=True
     )
     assert r.returncode == status
     assert "Traceback" not in r.stderr
     assert "internal error" not in r.stderr
+
+
+def _child_env(**extra: str) -> dict[str, str]:
+    """The environment of a `coh` subprocess that imports this checkout."""
+    src = str(Path(cohcheck.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **extra}
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_an_input_error(tmp_path, unbuffered):
+    # the reader of stdout is gone before coh starts; a buffered stdout
+    # fails only when it is flushed
+    env = _child_env(PYTHONUNBUFFERED=unbuffered, COH_COLOR="0")
+    pair = str(FIXTURES / "pair.coh")
+    disagreeing = tmp_path / "interp.coh"
+    disagreeing.write_text(fixture_text("cursed_lift.coh").replace("interp hb = [b b b b]", "interp hb = [b b]"))
+    for args, verdicts in (
+        (["check", pair], "goal braidax: equal_in_s_only\n"),
+        (["check", str(disagreeing)], ""),
+        (["dissolve", pair], ""),
+        (["render", pair, "--edge", "swap"], ""),
+    ):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "cohcheck.cli", *args], stdout=write, stderr=subprocess.PIPE, env=env, text=True
+            )
+        finally:
+            os.close(write)
+        assert (r.returncode, r.stderr) == (2, verdicts + "error: <stdout>: Broken pipe\n"), args
+    # with no stdout at all, print writes nothing and the verdict stands
+    r = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "cohcheck.cli", "check", pair],
+        stderr=subprocess.PIPE, env=env, text=True,
+    )
+    assert (r.returncode, r.stderr) == (1, "goal braidax: equal_in_s_only\n")
 
 
 def test_unreadable_files_are_input_errors(tmp_path):
