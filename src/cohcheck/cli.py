@@ -880,7 +880,7 @@ def main(argv: Sequence[str] | None = None) -> NoReturn:
     command = args.pop("command")
     try:
         status = command(**args)
-        print(end="", flush=True)  # so that a closed stdout fails here, not at exit; no stdout passes
+        print(end="", flush=True)  # a closed stdout fails here, not at exit; print skips a missing one
     except CohError as err:
         print(f"error: {err}", file=sys.stderr)
         status = 2
