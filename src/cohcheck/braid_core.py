@@ -66,18 +66,14 @@ class BraidWord(_BraidWordFields):
     __slots__ = ()
 
     def __new__(cls, n: int, letters: tuple[int, ...] = ()) -> BraidWord:
-        self = tuple.__new__(cls, (n, letters))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 0:
-            raise StructureError(f"a braid on {self.n!r} strands")
-        if type(self.letters) is not tuple:
-            raise StructureError(f"braid letters {self.letters!r} are not a tuple")
-        for l in self.letters:
-            if type(l) is not int or not 0 < abs(l) < self.n:
-                raise StructureError(f"letter {l!r} out of range for {self.n} strands")
+        if type(n) is not int or n < 0:
+            raise StructureError(f"a braid on {n!r} strands")
+        if type(letters) is not tuple:
+            raise StructureError(f"braid letters {letters!r} are not a tuple")
+        for l in letters:
+            if type(l) is not int or not 0 < abs(l) < n:
+                raise StructureError(f"letter {l!r} out of range for {n} strands")
+        return tuple.__new__(cls, (n, letters))
 
     def __str__(self) -> str:
         return braid_str(self)
@@ -105,7 +101,7 @@ def braid_str(w: BraidWord) -> str:
 
 
 def braid_id(n: int) -> BraidWord:
-    return BraidWord(n)
+    return tuple.__new__(BraidWord, (n, ()))
 
 
 def braid_compose(u: BraidWord, v: BraidWord) -> BraidWord:
@@ -161,7 +157,7 @@ def perm_braid(p: Perm) -> BraidWord:
             j = j - 1 if j else 0
         else:
             j += 1
-    return BraidWord(len(p), tuple(letters))
+    return tuple.__new__(BraidWord, (len(p), tuple(letters)))
 
 
 # -- block braidings and cabling ---------------------------------------------
@@ -179,7 +175,7 @@ def block_braid(m: int, k: int) -> BraidWord:
     for i in range(1, m + 1):
         # strand i goes under strands i+1 .. i+k
         letters.extend(range(k + i - 1, i - 1, -1))
-    return BraidWord(m + k, tuple(letters))
+    return tuple.__new__(BraidWord, (m + k, tuple(letters)))
 
 
 def permute(items: Sequence, p: Perm) -> list:
@@ -210,7 +206,7 @@ def cable(w: BraidWord, sizes: list[int]) -> BraidWord:
     letters: list[int] = []
     for piece in reversed(chunks):
         letters.extend(piece.letters)
-    return BraidWord(total, tuple(letters))
+    return tuple.__new__(BraidWord, (total, tuple(letters)))
 
 
 def cable_perm(p: Perm, sizes: list[int]) -> Perm:
@@ -243,9 +239,9 @@ class BraidNormalForm(NamedTuple):
     factors: tuple[Perm, ...]
 
     def __str__(self) -> str:
-        parts = [f"D^{self.delta_power}"]
-        parts.extend(f"({braid_str(perm_braid(f))})" for f in self.factors)
-        return " ".join(parts)
+        # few distinct simple braids recur: spell each once
+        spelled = {f: f"({braid_str(perm_braid(f))})" for f in set(self.factors)}
+        return " ".join([f"D^{self.delta_power}", *map(spelled.__getitem__, self.factors)])
 
 
 @lru_cache(maxsize=None)
@@ -300,19 +296,26 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
     n = w.n
     if n <= 1:
         return BraidNormalForm(n, 0, ())
+    # free cancellation first: each inverse letter costs a near-Delta factor
+    letters: list[int] = []
+    for l in w.letters:
+        if letters and letters[-1] == -l:
+            letters.pop()
+        else:
+            letters.append(l)
     # sigma_j^-1 = Delta^-1 (Delta sigma_j^-1), and the paren is simple.
     # Moving a Delta^+-1 to the front conjugates each simple to its left by
     # Delta, which sends t_j to t_{n-2-j} and keeps pairs left-weighted.
     # Factors are stored mirrored iff an odd number of half twists has been
     # taken out to their right, so a letter is mirrored by the parity of the
     # inverse letters to its right plus that of the half twists taken out.
-    inverses_right = sum(l < 0 for l in w.letters)
+    inverses_right = sum(l < 0 for l in letters)
     delta = -inverses_right
     twists = 0
     ident = list(range(n))
     w0 = list(_w0(n))
     factors: list[_Factor] = []
-    for l in w.letters:
+    for l in letters:
         inverses_right -= l < 0
         j = abs(l) - 1
         if (inverses_right + twists) % 2:

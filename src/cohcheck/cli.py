@@ -546,7 +546,7 @@ def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> FreeMor:
         return fmor_of_perm(x, f[1])
     if any(abs(l) > n - 1 for l in f[1]):
         raise ElabError(f"{part} word uses strand {max(abs(l) for l in f[1]) + 1}, only {n} available", env.span)
-    word = BraidWord(n, f[1])
+    word = tuple.__new__(BraidWord, (n, f[1]))
     return fmor_of_braid(x, word) if env.flavor == "B" else fmor_of_perm(x, braid_perm(word))
 
 

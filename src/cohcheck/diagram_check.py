@@ -55,6 +55,7 @@ class _DiagramFields(NamedTuple):
 
 
 class Diagram(_DiagramFields):
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
     # residues, an attribute and so outside equality and repr: edge name ->
     # (the edge, its dissolved term), filled by _edge_residue
     def __new__(cls, *args, **kwargs) -> Diagram:

@@ -55,6 +55,7 @@ class _GenSetFields(NamedTuple):
 
 class GenSet(_GenSetFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
 
     def __new__(cls, name: str, names: tuple[str, ...]) -> GenSet:
         if len(set(names)) != len(names):
@@ -205,10 +206,14 @@ def permutation_shadow(u: FreeMor) -> FreeMor:
     return tuple.__new__(FreeMor, ("S", u.source, u.target, underlying_permutation(u)))
 
 
-def fmor_equal(u: FreeMor, v: FreeMor) -> bool:
+def check_parallel(u: FreeMor, v: FreeMor) -> None:
     _check_flavors(u, v)
     if u.source != v.source or u.target != v.target:
         raise BoundaryError("equality of non-parallel morphisms")
+
+
+def fmor_equal(u: FreeMor, v: FreeMor) -> bool:
+    check_parallel(u, v)
     if u.flavor == "M":
         return True
     if u.flavor == "S":

@@ -62,6 +62,7 @@ class ObjMap(_ObjMapFields):
     """A total map between generator sets; a call checks the pairs. It
     memoizes the normal forms of letters, plain words and block tuples seen
     under it in attributes, which take no part in equality, hashing or repr."""
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
 
     def __new__(cls, source: GenSet, target: GenSet, pairs: tuple[tuple[str, str], ...]) -> ObjMap:
         seen = dict(pairs)

@@ -324,6 +324,19 @@ def test_normal_form_commutes_with_mirror(n: int, length: int, inverse_share: fl
         assert braid_perm(mirror(perm_braid(f))) == g
 
 
+# normalize_braid cancels s_i s_i^-1 and s_i^-1 s_i before the Garside pass,
+# so a cancelling pair anywhere must leave the normal form as it was
+@settings(max_examples=60)
+@given(braid_words(max_n=6, max_len=12), st.data())
+def test_cancelling_pair_leaves_normal_form(w: BraidWord, data: st.DataObject) -> None:
+    pos = data.draw(st.integers(0, len(w.letters)))
+    l = data.draw(st.integers(1, w.n - 1)) * data.draw(st.sampled_from((1, -1)))
+    padded = BraidWord(w.n, w.letters[:pos] + (l, -l) + w.letters[pos:])
+    nf = normalize_braid(padded)
+    assert nf == normalize_braid(w)
+    assert braid_oracle.words_equal(padded.letters, nf_word(nf).letters)
+
+
 @given(braid_words())
 def test_normal_form_fixed_point(w: BraidWord) -> None:
     nf = normalize_braid(w)
@@ -435,6 +448,16 @@ def test_normal_form_frozen(name: str) -> None:
 )
 def test_block_braid_words(m: int, k: int, text: str) -> None:
     assert braid_str(block_braid(m, k)) == text
+
+
+@pytest.mark.parametrize(
+    "w",
+    [braid_id(0), braid_id(4), block_braid(0, 2), block_braid(3, 2), perm_braid((2, 0, 3, 1)),
+     perm_braid(_w0(5)), cable(BraidWord(3, (1, -2)), [2, 0, 3]), cable(BraidWord(2, (-1,)), [1, 1])],
+)
+def test_trusted_constructors_build_valid_words(w: BraidWord) -> None:
+    # these skip BraidWord's checks, so what they build must pass them
+    assert type(w) is BraidWord and BraidWord(*w) == w
 
 
 def test_block_perm_value() -> None:

@@ -243,6 +243,15 @@ def test_explain_without_validation_matches_validated(build):
         assert explain_goal(lazy, g) == explain_goal(checked, g)
 
 
+def test_diagram_replace_and_make_start_with_no_residues():
+    d = unequal_diagram()
+    validate_diagram(d)
+    for copy in (d._replace(goals=d.goals), Diagram._make(d)):
+        assert copy == d and copy.residues == {}
+        assert check_goal(copy, copy.goals[0]) == NOT_EQUAL
+        assert len(copy.residues) == len(copy.edges)
+
+
 def test_replaced_edge_is_dissolved_afresh():
     d = unequal_diagram()
     g = d.goals[0]

@@ -51,6 +51,16 @@ def test_genset_rejects_duplicates():
         GenSet("bad", ("a", "a"))
 
 
+def test_genset_replace_and_make_check_as_a_call_does():
+    g = GenSet("A", ("a",))
+    assert g._replace(names=("a", "b")) == GenSet("A", ("a", "b"))
+    assert type(GenSet._make(g)) is GenSet
+    with pytest.raises(StructureError):
+        g._replace(names=("a", "a"))
+    with pytest.raises(StructureError):
+        GenSet._make(("A", ("",)))
+
+
 def test_freemor_validates_target():
     with pytest.raises(StructureError):
         FreeMor("S", ("a", "b"), ("a", "b"), (1, 0))

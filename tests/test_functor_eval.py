@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cohcheck import braid_core
 from cohcheck.braid_core import BraidWord, braid_equal, parse_braid
 from cohcheck.errors import BoundaryError, InterpError, StructureError, UnsupportedOp
 from cohcheck.free_cat import (
@@ -20,6 +22,8 @@ from cohcheck.free_cat import (
     fmor_tensor,
 )
 from cohcheck.functor_eval import (
+    AxiomFailure,
+    AxiomReport,
     FunctorSpec,
     check_axioms,
     compose_specs,
@@ -220,6 +224,61 @@ def test_nfold_four_braided_fails_exactly_on_nonempty_pairs():
     assert rep.checked == len(probe) ** 3 + 2 * len(probe) + len(probe) ** 2
     assert all(f.axiom == "braid" for f in rep.failures)
     assert [f.witness for f in rep.failures] == [(x, y) for x in probe for y in probe if x and y]
+
+
+def _every_check(F, probe):
+    """The axiom checks as check_axioms states them, one by one."""
+    flavor = F.flavor
+    for x, y, z in itertools.product(probe, repeat=3):
+        left = fmor_compose(F.f2(x, y + z), fmor_tensor(fmor_id(flavor, F.obj(x)), F.f2(y, z)))
+        right = fmor_compose(F.f2(x + y, z), fmor_tensor(F.f2(x, y), fmor_id(flavor, F.obj(z))))
+        yield "associativity", (x, y, z), left, right
+    for x in probe:
+        one = fmor_id(flavor, F.obj(x))
+        yield "unit-left", (x,), fmor_compose(F.f2((), x), fmor_tensor(F.f0(), one)), one
+        yield "unit-right", (x,), fmor_compose(F.f2(x, ()), fmor_tensor(one, F.f0())), one
+    if flavor != "M":
+        for x, y in itertools.product(probe, repeat=2):
+            left = fmor_compose(F.f2(y, x), fmor_braiding(F.obj(x), F.obj(y), flavor))
+            right = fmor_compose(F.mor(fmor_braiding(x, y, flavor)), F.f2(x, y))
+            yield "braid", (x, y), left, right
+
+
+def test_each_distinct_braid_pair_is_normalized_once(monkeypatch):
+    F = make_builtin_spec("nfold(3)", AB, "B")
+    probe = default_probe(AB)
+    checks = list(_every_check(F, probe))
+    expected = AxiomReport(
+        F.name, tuple(AxiomFailure(*c) for c in checks if not fmor_equal(c[2], c[3])), len(checks)
+    )
+    differing = {(l.content, r.content) for _, _, l, r in checks if l.content != r.content}
+    assert len(differing) < sum(l.content != r.content for _, _, l, r in checks)
+    normalized = []
+    normalize = braid_core.normalize_braid
+
+    def counted(w):
+        normalized.append(w)
+        return normalize(w)
+
+    monkeypatch.setattr(braid_core, "normalize_braid", counted)
+    assert check_axioms(F, probe) == expected
+    assert 0 < len(normalized) <= 2 * len(differing)
+
+
+def test_repeated_braid_pair_is_still_checked_for_parallel():
+    # (a, a) and (a, b) give the braid axiom the same pair of braids; a mor
+    # that mislabels the target of the braiding of a past b makes the second
+    # pair non-parallel, and the cached verdict must not hide that
+    doubling = make_builtin_spec("doubling", AB, "B")
+
+    def mor(u):
+        v = doubling.mor(u)
+        return v._replace(target=("z",) * len(v.target)) if u.source == ("a", "b") else v
+
+    probe = [(), ("a",), ("b",)]
+    assert check_axioms(doubling, probe).failures
+    with pytest.raises(BoundaryError):
+        check_axioms(doubling._replace(mor=mor), probe)
 
 
 def test_report_counts_checks():

@@ -65,6 +65,18 @@ def test_obj_map_must_be_total():
         ObjMap(A, A2, (("a", "nope"),))
 
 
+def test_obj_map_replace_and_make_check_and_memoize():
+    # both go through __new__, so the copy has its own empty memos
+    m = PHI_A._replace(pairs=(("a", "fa"),))
+    assert m == PHI_A and m.free_words == {} and m.free_words is not PHI_A.free_words
+    assert free_uobj(("fa",), m) == (FreeLetter("fa"),)
+    assert ObjMap._make(PHI_A).letters == {}
+    with pytest.raises(StructureError):
+        PHI_A._replace(pairs=())
+    with pytest.raises(UnknownName):
+        ObjMap._make((A, A2, (("a", "nope"),)))
+
+
 def test_normalize_length_one():
     assert normalize_uobj((PhiLetter(("a",)),), PHI_A) == (FreeLetter("fa"),)
 
