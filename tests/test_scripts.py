@@ -13,6 +13,8 @@ import cohcheck
 ROOT = Path(__file__).resolve().parent.parent
 # stdout of `scripts/axiom_report.py` with its default arguments
 GOLDEN_AXIOMS = (Path(__file__).resolve().parent / "golden_axiom_report.txt").read_text(encoding="utf-8")
+# stdout of `scripts/axiom_report.py --kinds doubling "nfold(3)" "nfold(5)" --max-len 3`
+GOLDEN_AXIOMS_LEN3 = (Path(__file__).resolve().parent / "golden_axiom_report_len3.txt").read_text(encoding="utf-8")
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -27,6 +29,13 @@ def test_axiom_report_frozen():
     r = run_script("axiom_report.py")
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == GOLDEN_AXIOMS
+
+
+def test_axiom_report_frozen_to_length_three():
+    # words up to length 3 reach length signatures the default probe does not
+    r = run_script("axiom_report.py", "--kinds", "doubling", "nfold(3)", "nfold(5)", "--max-len", "3")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == GOLDEN_AXIOMS_LEN3
 
 
 @pytest.mark.parametrize(
