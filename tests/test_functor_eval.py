@@ -4,10 +4,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohcheck import braid_core
+from cohcheck import braid_core, functor_eval
 from cohcheck.braid_core import BraidWord, braid_equal, parse_braid
 from cohcheck.errors import BoundaryError, InterpError, StructureError, UnsupportedOp
 from cohcheck.free_cat import (
@@ -244,13 +244,108 @@ def _every_check(F, probe):
             yield "braid", (x, y), left, right
 
 
+def _report_by_every_check(F, probe):
+    checks = list(_every_check(F, probe))
+    return AxiomReport(F.name, tuple(AxiomFailure(*c) for c in checks if not fmor_equal(c[2], c[3])), len(checks))
+
+
+COPYING_SPECS = [("identity", "M"), ("identity", "S"), ("identity", "B")] + [
+    (kind, flavor) for kind in ("doubling", "nfold(3)", "nfold(4)") for flavor in ("S", "B")
+]
+
+
+@pytest.mark.parametrize("kind, flavor", COPYING_SPECS)
+def test_report_equals_every_check(kind, flavor):
+    F = make_builtin_spec(kind, ABC, flavor)
+    probe = default_probe(ABC)
+    assert check_axioms(F, probe) == _report_by_every_check(F, probe)
+
+
+# mixed lengths, and always one word twice
+_probes = st.lists(st.lists(st.sampled_from("abc"), max_size=3).map(tuple), min_size=1, max_size=4).flatmap(
+    lambda ws: st.permutations(ws + ws[:1])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(COPYING_SPECS), _probes)
+def test_report_equals_every_check_on_any_probe(spec, probe):
+    kind, flavor = spec
+    F = make_builtin_spec(kind, ABC, flavor)
+    assert check_axioms(F, probe) == _report_by_every_check(F, probe)
+
+
+def _twist_on_c(F):
+    """F's f2, followed on each pair of words holding a c by a pure braid:
+    parallel to F's, yet not a function of the word lengths alone."""
+
+    def f2(x, y):
+        c = F.f2(x, y)
+        if "c" not in x + y or len(c.source) < 2:
+            return c
+        return fmor_compose(c, fmor_of_braid(c.source, parse_braid("s1 s1", len(c.source))))
+
+    return f2
+
+
+@pytest.mark.parametrize("field", ["obj", "f2", "f0"])
+def test_replaced_piece_is_checked_witness_by_witness(field):
+    F = make_builtin_spec("doubling", ABC, "B")
+    piece = {"obj": lambda x: F.obj(x), "f2": _twist_on_c(F), "f0": lambda: F.f0()}[field]
+    G = F._replace(**{field: piece})
+    probe = default_probe(ABC, 1)
+    expected = _report_by_every_check(G, probe)
+    assert check_axioms(G, probe) == expected
+    if field == "f2":
+        # (a, a, a) passes associativity, and witnesses of its lengths fail
+        failed = {f.witness for f in expected.failures if f.axiom == "associativity"}
+        assert failed and (("a",), ("a",), ("a",)) not in failed
+
+
+def test_mislabelling_obj_raises():
+    # every axiom holds in flavor S, and the first witness of each length
+    # signature holds no c
+    F = make_builtin_spec("doubling", ABC, "S")
+
+    def obj(x):
+        return ("z",) * len(F.obj(x)) if x == ("c",) else F.obj(x)
+
+    with pytest.raises(BoundaryError):
+        check_axioms(F._replace(obj=obj), default_probe(ABC))
+
+
+@pytest.mark.parametrize("flavor", ["S", "B"])
+def test_composite_spec_is_checked_witness_by_witness(flavor):
+    D = make_builtin_spec("doubling", AB, flavor)
+    DD = compose_specs(D, D)
+    probe = default_probe(AB)
+    assert check_axioms(DD, probe) == _report_by_every_check(DD, probe)
+
+
+def test_each_length_signature_is_built_once_unless_it_fails(monkeypatch):
+    F = make_builtin_spec("nfold(4)", ABC, "B")
+    probe = default_probe(ABC)
+    # a first call builds the spec's contents for each pair of lengths
+    rep = check_axioms(F, probe)
+    n = len({len(x) for x in probe})
+    signatures = n**3 + 2 * n + n**2
+    composed = []
+    compose = functor_eval.fmor_compose
+
+    def counted(u, v):
+        composed.append((u, v))
+        return compose(u, v)
+
+    monkeypatch.setattr(functor_eval, "fmor_compose", counted)
+    assert check_axioms(F, probe) == rep
+    assert 0 < len(composed) <= 2 * (signatures + len(rep.failures))
+
+
 def test_each_distinct_braid_pair_is_normalized_once(monkeypatch):
     F = make_builtin_spec("nfold(3)", AB, "B")
     probe = default_probe(AB)
     checks = list(_every_check(F, probe))
-    expected = AxiomReport(
-        F.name, tuple(AxiomFailure(*c) for c in checks if not fmor_equal(c[2], c[3])), len(checks)
-    )
+    expected = _report_by_every_check(F, probe)
     differing = {(l.content, r.content) for _, _, l, r in checks if l.content != r.content}
     assert len(differing) < sum(l.content != r.content for _, _, l, r in checks)
     normalized = []
