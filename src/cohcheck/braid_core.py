@@ -296,17 +296,13 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
     n = w.n
     if n <= 1:
         return BraidNormalForm(n, 0, ())
-    # free cancellation first: each inverse letter costs a near-Delta factor,
-    # and a word without one has nothing to cancel
-    letters: Sequence[int] = w.letters
-    if min(letters, default=0) < 0:
-        kept: list[int] = []
-        for l in letters:
-            if kept and kept[-1] == -l:
-                kept.pop()
-            else:
-                kept.append(l)
-        letters = kept
+    # free cancellation first: each inverse letter costs a near-Delta factor
+    letters: list[int] = []
+    for l in w.letters:
+        if letters and letters[-1] == -l:
+            letters.pop()
+        else:
+            letters.append(l)
     # sigma_j^-1 = Delta^-1 (Delta sigma_j^-1), and the paren is simple.
     # Moving a Delta^+-1 to the front conjugates each simple to its left by
     # Delta, which sends t_j to t_{n-2-j} and keeps pairs left-weighted.

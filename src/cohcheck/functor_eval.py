@@ -190,29 +190,34 @@ def check_axioms(F: FunctorSpec, probe: list[Obj] | None = None) -> AxiomReport:
     flavor = F.flavor
     failures: list[AxiomFailure] = []
     checked = 0
-    # a copying functor's sides depend only on the witness's word lengths
+    # a copying functor's sides depend only on the witness's word lengths:
+    # decide each axiom once per length signature
     by_length = getattr(F.f2, "by_length", None) == (F.obj, F.mor, F.f0)
-    passed: set[tuple] = set()
-    # few pairs of differing braids recur: take their normal forms once
+    verdicts: dict[tuple, bool] = {}
+    # otherwise few pairs of differing braids recur: take their normal forms once
     braid_verdicts: dict[tuple, bool] = {}
 
     def record(axiom: str, witness: tuple, sides: Callable[..., tuple[FreeMor, FreeMor]]) -> None:
         nonlocal checked
         checked += 1
-        if (signature := (axiom, *map(len, witness))) in passed:
-            return
-        left, right = sides(*witness)
-        if flavor != "B" or left.content == right.content:
-            equal = fmor_equal(left, right)
-        elif (key := (left.content, right.content)) in braid_verdicts:
-            check_parallel(left, right)
-            equal = braid_verdicts[key]
+        if by_length:
+            signature = (axiom, *map(len, witness))
+            if equal := verdicts.get(signature):
+                return
+            left, right = sides(*witness)
+            if equal is None:
+                equal = verdicts[signature] = fmor_equal(left, right)
         else:
-            equal = braid_verdicts[key] = fmor_equal(left, right)
+            left, right = sides(*witness)
+            if flavor != "B" or left.content == right.content:
+                equal = fmor_equal(left, right)
+            elif (key := (left.content, right.content)) in braid_verdicts:
+                check_parallel(left, right)
+                equal = braid_verdicts[key]
+            else:
+                equal = braid_verdicts[key] = fmor_equal(left, right)
         if not equal:
             failures.append(AxiomFailure(axiom, witness, left, right))
-        elif by_length:
-            passed.add(signature)
 
     def associativity(x: Obj, y: Obj, z: Obj) -> tuple[FreeMor, FreeMor]:
         left = fmor_compose(F.f2(x, y + z), fmor_tensor(fmor_id(flavor, F.obj(x)), F.f2(y, z)))

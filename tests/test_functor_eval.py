@@ -329,25 +329,28 @@ def test_each_length_signature_is_built_once_unless_it_fails(monkeypatch):
     rep = check_axioms(F, probe)
     n = len({len(x) for x in probe})
     signatures = n**3 + 2 * n + n**2
-    composed = []
-    compose = functor_eval.fmor_compose
+    composed, compared = [], []
+    compose, equal = functor_eval.fmor_compose, functor_eval.fmor_equal
 
-    def counted(u, v):
+    def counted_compose(u, v):
         composed.append((u, v))
         return compose(u, v)
 
-    monkeypatch.setattr(functor_eval, "fmor_compose", counted)
+    def counted_equal(u, v):
+        compared.append((u, v))
+        return equal(u, v)
+
+    monkeypatch.setattr(functor_eval, "fmor_compose", counted_compose)
+    monkeypatch.setattr(functor_eval, "fmor_equal", counted_equal)
     assert check_axioms(F, probe) == rep
     assert 0 < len(composed) <= 2 * (signatures + len(rep.failures))
+    # a failure is built at its own witness, but decided once per signature
+    assert len(compared) == signatures
 
 
 def test_each_distinct_braid_pair_is_normalized_once(monkeypatch):
     F = make_builtin_spec("nfold(3)", AB, "B")
     probe = default_probe(AB)
-    checks = list(_every_check(F, probe))
-    expected = _report_by_every_check(F, probe)
-    differing = {(l.content, r.content) for _, _, l, r in checks if l.content != r.content}
-    assert len(differing) < sum(l.content != r.content for _, _, l, r in checks)
     normalized = []
     normalize = braid_core.normalize_braid
 
@@ -356,8 +359,15 @@ def test_each_distinct_braid_pair_is_normalized_once(monkeypatch):
         return normalize(w)
 
     monkeypatch.setattr(braid_core, "normalize_braid", counted)
-    assert check_axioms(F, probe) == expected
-    assert 0 < len(normalized) <= 2 * len(differing)
+    # the builtin spec, and one checked witness by witness
+    for G in (F, F._replace(f0=lambda: F.f0())):
+        checks = list(_every_check(G, probe))
+        expected = _report_by_every_check(G, probe)
+        differing = {(l.content, r.content) for _, _, l, r in checks if l.content != r.content}
+        assert len(differing) < sum(l.content != r.content for _, _, l, r in checks)
+        normalized.clear()
+        assert check_axioms(G, probe) == expected
+        assert 0 < len(normalized) <= 2 * len(differing)
 
 
 def test_repeated_braid_pair_is_still_checked_for_parallel():
