@@ -10,8 +10,8 @@ probed separately because a functor can be coherent for permutations yet
 fail it for braids. For a copying functor every content on both sides of
 an axiom depends only on the lengths of its witness words, so a pass at
 one witness is a pass at every witness of the same lengths, and
-check_axioms builds the sides once per such length signature; a failure
-is built at each of its witnesses.
+check_axioms decides each axiom once per such length signature; a
+failure is still built at each of its witnesses.
 
 lambda_eval reads a universal-algebra term through a functor: plain
 letters through a caller-supplied interpretation, formed letters through
