@@ -1,11 +1,13 @@
 """Deterministic token mutations of the fixtures, and what parse_source
 makes of each: the frozen record of the parser's messages, spans and
-structures on malformed and near-miss sources.
+structures on malformed and near-miss sources. A second record freezes
+what build_diagram and the goal reports make of the same mutants.
 
-    PYTHONPATH=src python3 tests/parse_mutants.py   # rewrite the golden file
+    PYTHONPATH=src python3 tests/parse_mutants.py         # rewrite golden_parse_errors.json
+    PYTHONPATH=src python3 tests/parse_mutants.py build   # rewrite golden_build_outcomes.json
 
-The golden file was written once and is not to be rewritten: a parser
-change must reproduce it, not regenerate it.
+Each golden file was written once and is not to be rewritten: a parser or
+elaboration change must reproduce it, not regenerate it.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
-from cohcheck.cli import parse_source
+from cohcheck.cli import build_diagram, parse_source
+from cohcheck.diagram_check import explain_goal, report_json
 from cohcheck.errors import CohError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden_parse_errors.json"
+BUILD_GOLDEN = Path(__file__).resolve().parent / "golden_build_outcomes.json"
 
 # the tokens of the .coh format, found independently of the parser under test
 _TOKEN = re.compile(r'"[^"]*"|->|==|[A-Za-z_][A-Za-z0-9_]*(?:\^-1)?|-?\d+|[()\[\]{}|;.,=:]')
@@ -67,7 +72,22 @@ def outcome(source: str) -> dict:
     return {"parsed": hashlib.sha256(blob.encode()).hexdigest()}
 
 
+def build_outcome(source: str) -> dict:
+    """The error's class, message, line and column from parsing, building
+    or explaining every goal; or, for a source that gets that far, the
+    SHA-256 of its goal reports' JSON."""
+    try:
+        d = build_diagram(parse_source(source))
+        reports = [report_json(explain_goal(d, g)) for g in d.goals]
+    except CohError as err:
+        span = err.span
+        return {"error": [type(err).__name__, err.message, span and span.line, span and span.col]}
+    blob = json.dumps(reports, separators=(",", ":"))
+    return {"built": hashlib.sha256(blob.encode()).hexdigest()}
+
+
 if __name__ == "__main__":
+    golden, outcome = (BUILD_GOLDEN, build_outcome) if sys.argv[1:] == ["build"] else (GOLDEN, outcome)
     record = {key: outcome(source) for key, source in mutants()}
     lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(record.items())]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    golden.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")

@@ -225,6 +225,16 @@ def test_parse_errors_match_golden():
     assert [key for key in golden if got[key] != golden[key]] == []
 
 
+def test_build_outcomes_match_golden():
+    # the same mutants through build_diagram and every goal's report: error
+    # classes, messages and spans, or a digest of the reports' JSON
+    golden = json.loads(parse_mutants.BUILD_GOLDEN.read_text(encoding="utf-8"))
+    got = {key: parse_mutants.build_outcome(source) for key, source in parse_mutants.mutants()}
+    assert len(got) == len(golden) == 2546
+    assert [key for key in golden if got[key] != golden[key]] == []
+    assert sum("built" in v for v in golden.values()) == 80
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_round_trip(name):
     sf = parse_source(fixture_text(name))
