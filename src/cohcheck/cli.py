@@ -56,8 +56,8 @@ from .diagram_check import (
 )
 from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
 from .free_cat import (
-    Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, fmor_id, fmor_of_braid, fmor_of_perm,
-    underlying_permutation,
+    Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, fmor_compose, fmor_id, fmor_of_braid,
+    fmor_of_perm, fmor_tensor, underlying_permutation,
 )
 from .functor_eval import FunctorSpec, compose_specs, make_builtin_spec
 from .ualg import (
@@ -73,6 +73,7 @@ from .ualg import (
     UPhiQ,
     UPhiQInv,
     UTensor,
+    _dissolve_leaf,
     format_uobj,
     normalize_uobj,
 )
@@ -555,9 +556,7 @@ def _elab_factor(
 ) -> tuple[object, list[ULetter]]:
     phi = env.phi
     if f[0] == "id":
-        chunk = remaining[:] if final else _take(remaining, 1, "id", env)
-        if final:
-            del remaining[:]
+        chunk = _take(remaining, len(remaining) if final else 1, "id", env)
         return UId(normalize_uobj(chunk, phi)), chunk
 
     if f[0] in ("word", "perm"):
@@ -639,31 +638,32 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
     return False
 
 
-def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, tuple[ULetter, ...]]:
+def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, FreeMor, tuple[ULetter, ...]]:
+    """The term, its residue and its target letters. The residue is the
+    term's dissolution, taken factor by factor from the letters each consumed."""
     rows = ast[1]
     letters = list(raw)
-    terms = []
+    composite = residue = None
     for row in reversed(rows):
         remaining = list(letters)
         parts = []
         for idx, f in enumerate(row[1]):
             final = idx == len(row[1]) - 1
+            start = len(letters) - len(remaining)
             t, chunk_tgt = _elab_factor(f, remaining, final, env)
-            parts.append((t, chunk_tgt))
+            u = _dissolve_leaf(t, letters[start : len(letters) - len(remaining)], env.phi, env.flavor)
+            parts.append((t, u, chunk_tgt))
         if remaining:
             raise ElabError(
                 f"{len(remaining)} source letters not consumed, starting at "
                 f"{format_uobj((remaining[0],))}", env.span
             )
-        term = parts[-1][0]
-        for t, _ in reversed(parts[:-1]):
-            term = UTensor(t, term)
-        terms.append(term)
-        letters = [l for _, tgt in parts for l in tgt]
-    composite = terms[0]
-    for t in terms[1:]:
-        composite = UCompose(t, composite)
-    return composite, tuple(letters)
+        term, u = parts[-1][:2]
+        for t, v, _ in reversed(parts[:-1]):
+            term, u = UTensor(t, term), fmor_tensor(v, u)
+        composite, residue = (term, u) if composite is None else (UCompose(term, composite), fmor_compose(u, residue))
+        letters = [l for *_, tgt in parts for l in tgt]
+    return composite, residue, tuple(letters)
 
 
 def build_diagram(sf: SourceFile) -> Diagram:
@@ -683,16 +683,16 @@ def build_diagram(sf: SourceFile) -> Diagram:
         raw_nodes[name] = _elab_obj(ast, env)
         nodes[name] = normalize_uobj(raw_nodes[name], phi)
 
-    edges: dict[str, Edge] = {}
+    residues: dict[str, tuple[Edge, FreeMor]] = {}  # each edge with its dissolved term
     for name, esrc, etgt, ast in sf.edges:
         env = _Env(phi, sf.flavor, mapname, sf.spans.get(("edge", name)))
-        term, raw_tgt = _elab_mor(ast, raw_nodes[esrc], env)
+        term, residue, raw_tgt = _elab_mor(ast, raw_nodes[esrc], env)
         if normalize_uobj(raw_tgt, phi) != nodes[etgt]:
             raise ElabError(
                 f"edge {name} ends at {format_uobj(normalize_uobj(raw_tgt, phi))}, "
                 f"node {etgt} is {format_uobj(nodes[etgt])}", env.span
             )
-        edges[name] = Edge(name, esrc, etgt, term)
+        residues[name] = (Edge(name, esrc, etgt, term), residue)
 
     functor: FunctorSpec | None = None
     built: dict[str, FunctorSpec] = {}
@@ -720,7 +720,8 @@ def build_diagram(sf: SourceFile) -> Diagram:
             interp[name] = names
 
     goals = tuple(Goal(name, left, right) for name, left, right in sf.goals)
-    d = Diagram(sf.flavor, phi, nodes, edges, goals, functor, interp)
+    d = Diagram(sf.flavor, phi, nodes, {name: e for name, (e, _) in residues.items()}, goals, functor, interp)
+    d.residues.update(residues)  # elaboration typed every edge, so validation checks only the goals
     validate_diagram(d)
     return d
 

@@ -1,10 +1,11 @@
 """Diagram containers and commutativity verdicts.
 
 A diagram bundles a generator map, named objects of the lifted algebra, and
-named edges carrying lift terms between them. Validation dissolves each edge
-once and keeps its residue on the diagram. A goal is a parallel pair of edge
-paths; since dissolution is a strict monoidal functor, each side's residue is
-the composite of its edges' residues, and checking compares the two.
+named edges carrying lift terms between them. Each edge's residue, its term
+dissolved, is kept on the diagram: elaboration hands over a source file's,
+and validation dissolves and checks any other edge once. A goal is a parallel
+pair of edge paths; since dissolution is a strict monoidal functor, each side's
+residue is the composite of its edges' residues, and checking compares the two.
 In the braided flavor the verdict is tri-state, because a pair of composites
 can disagree as braids while still agreeing at the permutation level; the
 symmetric and plain flavors collapse to a binary verdict.
@@ -57,7 +58,7 @@ class _DiagramFields(NamedTuple):
 class Diagram(_DiagramFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
     # residues, an attribute and so outside equality and repr: edge name ->
-    # (the edge, its dissolved term), filled by _edge_residue
+    # (the edge, its dissolved term), filled by build_diagram or _edge_residue
     def __new__(cls, *args, **kwargs) -> Diagram:
         self = super().__new__(cls, *args, **kwargs)
         self.residues: dict[str, tuple[Edge, FreeMor]] = {}
@@ -66,8 +67,8 @@ class Diagram(_DiagramFields):
 
 def _edge_residue(d: Diagram, e: Edge) -> FreeMor:
     """The edge's term dissolved once per diagram, after checking it
-    against its declared endpoints. An edge replaced in d.edges is
-    dissolved afresh."""
+    against its declared endpoints, unless elaboration stored it. An edge
+    replaced in d.edges is dissolved afresh."""
     cached = d.residues.get(e.name)
     if cached is not None and cached[0] is e:
         return cached[1]

@@ -277,7 +277,11 @@ def check_interp(F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap) -> None
         if g not in interp:
             raise InterpError(f"no interpretation for generator {g!r}")
     for a in phi.source.names:
-        if interp[phi(a)] != F.obj((a,)):
+        try:
+            image = F.obj((a,))
+        except MemoryError:  # nfold(10**12) copies a letter past any memory
+            raise InterpError(f"functor {F.name}: the image of {a!r} is too large to build") from None
+        if interp[phi(a)] != image:
             raise InterpError(
                 f"interpretation of {phi(a)!r} disagrees with the functor on {a!r}"
             )

@@ -158,8 +158,8 @@ def free_uobj(word: Obj, phi: ObjMap) -> UObj:
     return x
 
 
-def uobj_dissolve(x: UObj, phi: ObjMap) -> Obj:
-    """Read formed letters through phi, giving a plain target word."""
+def uobj_dissolve(x: Iterable[ULetter], phi: ObjMap) -> Obj:
+    """Read formed letters through phi, giving a plain target word; a word reads as its normal form does."""
     out: list[str] = []
     for letter in x:
         if isinstance(letter, FreeLetter):
@@ -329,14 +329,9 @@ def fold_typed(t: UMor, phi: ObjMap, flavor: Flavor, leaf: Callable, compose: Ca
     )
 
 
-def _nothing(*_) -> None:
-    return None
-
-
 def validate_umor(t: UMor, phi: ObjMap, flavor: Flavor) -> tuple[UObj, UObj]:
     """Boundary computation; rejects ill-typed terms naming the subterm."""
-    src, tgt, _ = fold_typed(t, phi, flavor, _nothing, _nothing, _nothing)
-    return src, tgt
+    return fold_typed(t, phi, flavor, *[lambda *_: None] * 3)[:2]
 
 
 # -- dissolution --------------------------------------------------------------
@@ -354,9 +349,7 @@ def _dissolve_leaf(t: UMor, src: UObj, phi: ObjMap, flavor: Flavor) -> FreeMor:
     if isinstance(t, UPhiFree):
         return _relabel(flatten_mu(t.mor), phi)
     if isinstance(t, UBraiding):
-        x = uobj_dissolve(normalize_uobj(t.x, phi), phi)
-        y = uobj_dissolve(normalize_uobj(t.y, phi), phi)
-        return fmor_braiding(x, y, flavor)
+        return fmor_braiding(uobj_dissolve(t.x, phi), uobj_dissolve(t.y, phi), flavor)
     return fmor_id(flavor, uobj_dissolve(src, phi))  # UPhiQ, UPhiQInv and UId dissolve to identities
 
 

@@ -4,6 +4,7 @@ import collections
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,7 +24,9 @@ from cohcheck.cli import (
     render_braid_ascii,
 )
 from cohcheck import cli, ualg
-from cohcheck.diagram_check import EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, check_goal, explain_goal
+from cohcheck.diagram_check import (
+    EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, Diagram, check_goal, explain_goal, validate_diagram,
+)
 from cohcheck.errors import ElabError, ParseError, SourceSpan, StructureError
 from cohcheck.ualg import dissolve
 
@@ -511,6 +514,21 @@ def test_check_interp_disagreeing_with_functor_exits_2(tmp_path):
     assert "error" in r.stderr
 
 
+def test_check_interp_of_an_image_too_large_to_build_exits_2(tmp_path):
+    # nfold(10**12) images a letter as 10**12 letters, whose allocation fails
+    # at once; the child's address space is capped so that it fails whatever
+    # the machine's overcommit policy
+    big = tmp_path / "big.coh"
+    big.write_text(fixture_text("cursed_lift.coh").replace("nfold(4)", "nfold(1000000000000)"))
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))  # noqa: E731
+    r = subprocess.run(
+        [sys.executable, "-m", "cohcheck.cli", "check", str(big)],
+        env=_child_env(), capture_output=True, text=True, preexec_fn=cap,
+    )
+    message = "functor nfold(1000000000000): the image of 'a' is too large to build"
+    assert (r.returncode, json.loads(r.stdout), r.stderr) == (2, {"error": message}, f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "command, text, status, stdout, stderr",
     [
@@ -588,7 +606,15 @@ def test_each_edge_is_typed_once(monkeypatch, shape):
     d = build_diagram(parse_source(text))
     for g in d.goals:
         explain_goal(d, g)
-    assert typed == collections.Counter({id(e.term): 1 for e in d.edges.values()})
+    # elaboration typed every edge and kept its residue: the fold never runs
+    assert typed == collections.Counter()
+    # a diagram that did not come from elaboration is typed by the fold, once an edge
+    for fresh in (d._replace(goals=d.goals), Diagram(d.flavor, d.phi, d.nodes, d.edges, d.goals)):
+        typed.clear()
+        validate_diagram(fresh)
+        for g in fresh.goals:
+            explain_goal(fresh, g)
+        assert typed == collections.Counter({id(e.term): 1 for e in d.edges.values()})
 
 
 def test_check_deep_edge(tmp_path):
