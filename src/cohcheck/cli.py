@@ -658,11 +658,11 @@ def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object,
                 f"{len(remaining)} source letters not consumed, starting at "
                 f"{format_uobj((remaining[0],))}", env.span
             )
-        term, u = parts[-1][:2]
+        term, u, _ = parts[-1]
         for t, v, _ in reversed(parts[:-1]):
             term, u = UTensor(t, term), fmor_tensor(v, u)
         composite, residue = (term, u) if composite is None else (UCompose(term, composite), fmor_compose(u, residue))
-        letters = [l for *_, tgt in parts for l in tgt]
+        letters = [l for _, _, tgt in parts for l in tgt]
     return composite, residue, tuple(letters)
 
 

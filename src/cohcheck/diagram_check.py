@@ -86,9 +86,9 @@ def _edge_residue(d: Diagram, e: Edge) -> FreeMor:
 
 
 def validate_diagram(d: Diagram) -> None:
-    """Check every edge term against its declared endpoints and every goal
-    against its paths, dissolving each edge once. Nodes are expected in
-    normalized form."""
+    """Check every edge term against its declared endpoints, unless
+    elaboration stored its residue, and every goal against its paths,
+    dissolving each edge once. Nodes are expected in normalized form."""
     for e in d.edges.values():
         _edge_residue(d, e)
     for g in d.goals:
