@@ -343,7 +343,7 @@ def _relabel(u: FreeMor, phi: ObjMap) -> FreeMor:
     return tuple.__new__(FreeMor, (u.flavor, source, target, u.content))
 
 
-def _dissolve_leaf(t: UMor, src: UObj, phi: ObjMap, flavor: Flavor) -> FreeMor:
+def _dissolve_leaf(t: UMor, src: Iterable[ULetter], phi: ObjMap, flavor: Flavor) -> FreeMor:
     if isinstance(t, UFree):
         return t.mor
     if isinstance(t, UPhiFree):

@@ -87,7 +87,7 @@ def build_outcome(source: str) -> dict:
 
 
 if __name__ == "__main__":
-    golden, outcome = (BUILD_GOLDEN, build_outcome) if sys.argv[1:] == ["build"] else (GOLDEN, outcome)
-    record = {key: outcome(source) for key, source in mutants()}
+    golden, of = (BUILD_GOLDEN, build_outcome) if sys.argv[1:] == ["build"] else (GOLDEN, outcome)
+    record = {key: of(source) for key, source in mutants()}
     lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(record.items())]
     golden.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
