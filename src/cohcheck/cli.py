@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .braid_core import (
-    _LETTER_RE, BraidWord, braid_equal, braid_perm, braid_str, normalize_braid, parse_braid,
+    _LETTER_RE, BraidWord, Perm, braid_equal, braid_perm, braid_str, normalize_braid, parse_braid,
     perm_braid, permute,
 )
 from .diagram_check import (
@@ -56,8 +56,7 @@ from .diagram_check import (
 )
 from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
 from .free_cat import (
-    Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, fmor_compose, fmor_id, fmor_of_braid,
-    fmor_of_perm, fmor_tensor, underlying_permutation,
+    Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, fmor_compose, fmor_id, fmor_of_perm, fmor_tensor,
 )
 from .functor_eval import FunctorSpec, compose_specs, make_builtin_spec
 from .ualg import (
@@ -76,6 +75,7 @@ from .ualg import (
     _dissolve_leaf,
     format_uobj,
     normalize_uobj,
+    uobj_dissolve,
 )
 
 # -- tokens ----------------------------------------------------------------------
@@ -498,28 +498,19 @@ def _elab_obj(ast: ObjAst, env: _Env) -> tuple[ULetter, ...]:
     return tuple(raw)
 
 
-def _take(remaining: list[ULetter], count: int, what: str, env: _Env) -> list[ULetter]:
-    if len(remaining) < count:
-        raise ElabError(f"{what} needs {count} letters, {len(remaining)} left", env.span)
-    chunk = remaining[:count]
-    del remaining[:count]
-    return chunk
+def _take(letters: tuple[ULetter, ...], pos: int, count: int, what: str, env: _Env) -> tuple[ULetter, ...]:
+    if len(letters) - pos < count:
+        raise ElabError(f"{what} needs {count} letters, {len(letters) - pos} left", env.span)
+    return letters[pos : pos + count]
 
 
 def _free_labels(chunk: Sequence[ULetter], env: _Env) -> tuple[str, ...]:
-    """The plain labels of a chunk whose letters were all name-checked when
-    they were elaborated."""
-    norm = normalize_uobj(chunk, env.phi)
-    # a letter normalizes to at most one, so as many plain letters as the
-    # chunk has mean one each
-    labels = tuple(l.name for l in norm if type(l) is FreeLetter)
-    if len(labels) == len(chunk):
-        return labels
-    # otherwise some letter is faulty, and the first one gives the message
+    """The plain labels of a chunk. Its letters were name-checked when they
+    were elaborated, so only a formed letter not of length one is faulty."""
     for letter in chunk:
-        norm = normalize_uobj((letter,), env.phi)
-        if len(norm) != 1 or not isinstance(norm[0], FreeLetter):
+        if type(letter) is PhiLetter and len(letter.word) != 1:
             raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
+    return uobj_dissolve(chunk, env.phi)
 
 
 def _check_flavor(f: tuple, env: _Env) -> None:
@@ -529,12 +520,13 @@ def _check_flavor(f: tuple, env: _Env) -> None:
         raise ElabError("perm(..) is only available in the symmetric flavor", env.span)
 
 
-def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> FreeMor:
+def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> tuple[FreeMor, Perm | None]:
     """An id, braid-word or perm(..) factor as a free morphism on the word
-    x. part is "inner" or "outer" for a part of pf(..), whose misfits it
-    names, and "" for a factor of a row, which is taken at its own width."""
+    x, with the permutation it was built from (None for id). part is
+    "inner" or "outer" for a part of pf(..), whose misfits it names, and ""
+    for a factor of a row, which is taken at its own width."""
     if f[0] == "id":
-        return fmor_id(env.flavor, x)
+        return fmor_id(env.flavor, x), None
     if f[0] not in ("word", "perm"):
         where = "appear inside" if part == "inner" else "be the outer part of"
         raise ElabError(f"{f[0]} cannot {where} pf(..)", env.span)
@@ -544,35 +536,39 @@ def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> FreeMor:
         if len(f[1]) != n:
             misfit = "perm of length {} on a block of {}" if part == "inner" else "outer perm of length {} on {} blocks"
             raise ElabError(misfit.format(len(f[1]), n), env.span)
-        return fmor_of_perm(x, f[1])
+        return fmor_of_perm(x, f[1]), f[1]
     if any(abs(l) > n - 1 for l in f[1]):
         raise ElabError(f"{part} word uses strand {max(abs(l) for l in f[1]) + 1}, only {n} available", env.span)
     word = tuple.__new__(BraidWord, (n, f[1]))
-    return fmor_of_braid(x, word) if env.flavor == "B" else fmor_of_perm(x, braid_perm(word))
+    p = braid_perm(word)
+    if env.flavor == "S":
+        return fmor_of_perm(x, p), p
+    return tuple.__new__(FreeMor, ("B", x, tuple(permute(x, p)), word)), p  # valid: its target is x permuted by p
 
 
 def _elab_factor(
-    f: tuple, remaining: list[ULetter], final: bool, env: _Env
-) -> tuple[object, list[ULetter]]:
+    f: tuple, letters: tuple[ULetter, ...], pos: int, final: bool, env: _Env
+) -> tuple[object, tuple[ULetter, ...], Sequence[ULetter]]:
+    """The factor's term, the chunk it consumes from pos, and its target letters."""
     phi = env.phi
     if f[0] == "id":
-        chunk = _take(remaining, len(remaining) if final else 1, "id", env)
-        return UId(normalize_uobj(chunk, phi)), chunk
+        chunk = _take(letters, pos, len(letters) - pos if final else 1, "id", env)
+        return UId(normalize_uobj(chunk, phi)), chunk, chunk
 
     if f[0] in ("word", "perm"):
         _check_flavor(f, env)
         if f[0] == "perm":
-            chunk = _take(remaining, len(f[1]), "perm", env)
+            chunk = _take(letters, pos, len(f[1]), "perm", env)
         else:
-            min_width = max((abs(l) for l in f[1]), default=0) + 1 if f[1] else 0
-            width = len(remaining) if final else min_width
+            min_width = max(map(abs, f[1])) + 1 if f[1] else 0
+            width = len(letters) - pos if final else min_width
             if width < min_width:
                 raise ElabError(f"word needs {min_width} strands, {width} left", env.span)
-            chunk = _take(remaining, width, "braid word", env)
+            chunk = _take(letters, pos, width, "braid word", env)
             if not f[1]:
-                return UId(normalize_uobj(chunk, phi)), chunk
-        u = _free_mor(f, _free_labels(chunk, env), env, "")
-        return UFree(u), permute(chunk, underlying_permutation(u))
+                return UId(normalize_uobj(chunk, phi)), chunk, chunk
+        u, p = _free_mor(f, _free_labels(chunk, env), env, "")
+        return UFree(u), chunk, permute(chunk, p)
 
     if f[0] in ("q", "qinv"):
         blocks = f[1]
@@ -582,40 +578,40 @@ def _elab_factor(
                     raise ElabError(f"{n!r} is not a generator of {phi.source.name}", env.span)
         merged = tuple(n for w in blocks for n in w)
         if f[0] == "q":
-            chunk = _take(remaining, len(blocks), "q", env)
+            chunk = _take(letters, pos, len(blocks), "q", env)
             for w, letter in zip(blocks, chunk):
                 if not _letter_matches_block(letter, w, env):
                     raise ElabError(
                         f"{format_uobj((letter,))} does not match the block ({' '.join(w)})", env.span
                     )
-            return UPhiQ(blocks), [PhiLetter(merged)]
-        chunk = _take(remaining, 1, "q^-1", env)
+            return UPhiQ(blocks), chunk, (PhiLetter(merged),)
+        chunk = _take(letters, pos, 1, "q^-1", env)
         if not _letter_matches_block(chunk[0], merged, env):
             raise ElabError(
-                f"{format_uobj((chunk[0],))} does not match the merged block ({' '.join(merged)})", env.span
+                f"{format_uobj(chunk)} does not match the merged block ({' '.join(merged)})", env.span
             )
-        return UPhiQInv(blocks), [PhiLetter(w) for w in blocks]
+        return UPhiQInv(blocks), chunk, [PhiLetter(w) for w in blocks]
 
     if f[0] == "pf":
         inners_ast = f[2]
-        chunk = _take(remaining, len(inners_ast), "pf", env)
+        chunk = _take(letters, pos, len(inners_ast), "pf", env)
         blocks = []
         for letter in chunk:
             if not isinstance(letter, PhiLetter):
                 raise ElabError(f"pf expects formed letters, found {format_uobj((letter,))}", env.span)
             blocks.append(letter.word)
-        inners = tuple(_free_mor(g, w, env, "inner") for g, w in zip(inners_ast, blocks))
-        outer = _free_mor(f[1], tuple(u.target for u in inners), env, "outer")
+        inners = tuple(_free_mor(g, w, env, "inner")[0] for g, w in zip(inners_ast, blocks))
+        outer = _free_mor(f[1], tuple(u.target for u in inners), env, "outer")[0]
         m2 = FreeMor2(env.flavor, tuple(blocks), outer.target, outer.content, inners)
-        return UPhiFree(m2), [PhiLetter(w) for w in m2.target]
+        return UPhiFree(m2), chunk, [PhiLetter(w) for w in m2.target]
 
     if f[0] == "braid":
         xraw = _elab_obj(f[1], env)
         yraw = _elab_obj(f[2], env)
-        chunk = _take(remaining, len(xraw) + len(yraw), "braid", env)
-        got_x = normalize_uobj(tuple(chunk[: len(xraw)]), env.phi)
-        got_y = normalize_uobj(tuple(chunk[len(xraw):]), env.phi)
-        x, y = normalize_uobj(xraw, env.phi), normalize_uobj(yraw, env.phi)
+        k = len(xraw)
+        chunk = _take(letters, pos, k + len(yraw), "braid", env)
+        got_x, got_y = normalize_uobj(chunk[:k], phi), normalize_uobj(chunk[k:], phi)
+        x, y = normalize_uobj(xraw, phi), normalize_uobj(yraw, phi)
         if (got_x, got_y) != (x, y):
             raise ElabError(
                 f"braid arguments {format_uobj(x)} ; {format_uobj(y)} do not match the "
@@ -624,8 +620,8 @@ def _elab_factor(
         if env.flavor == "M":
             if x and y:
                 raise ElabError("the plain flavor has no braiding", env.span)
-            return UId(normalize_uobj(tuple(chunk), env.phi)), chunk
-        return UBraiding(x, y), chunk[len(xraw):] + chunk[: len(xraw)]
+            return UId(x + y), chunk, chunk
+        return UBraiding(x, y), chunk, chunk[k:] + chunk[:k]
 
     raise ElabError(f"unknown factor {f[0]!r}", env.span)
 
@@ -641,29 +637,26 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
 def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, FreeMor, tuple[ULetter, ...]]:
     """The term, its residue and its target letters. The residue is the
     term's dissolution, taken factor by factor from the letters each consumed."""
-    rows = ast[1]
-    letters = list(raw)
+    letters = raw
     composite = residue = None
-    for row in reversed(rows):
-        remaining = list(letters)
+    for row in reversed(ast[1]):
+        pos = 0
         parts = []
         for idx, f in enumerate(row[1]):
-            final = idx == len(row[1]) - 1
-            start = len(letters) - len(remaining)
-            t, chunk_tgt = _elab_factor(f, remaining, final, env)
-            u = _dissolve_leaf(t, letters[start : len(letters) - len(remaining)], env.phi, env.flavor)
-            parts.append((t, u, chunk_tgt))
-        if remaining:
+            t, chunk, tgt = _elab_factor(f, letters, pos, idx == len(row[1]) - 1, env)
+            pos += len(chunk)
+            parts.append((t, _dissolve_leaf(t, chunk, env.phi, env.flavor), tgt))
+        if pos < len(letters):
             raise ElabError(
-                f"{len(remaining)} source letters not consumed, starting at "
-                f"{format_uobj((remaining[0],))}", env.span
+                f"{len(letters) - pos} source letters not consumed, starting at "
+                f"{format_uobj((letters[pos],))}", env.span
             )
         term, u, _ = parts[-1]
         for t, v, _ in reversed(parts[:-1]):
             term, u = UTensor(t, term), fmor_tensor(v, u)
         composite, residue = (term, u) if composite is None else (UCompose(term, composite), fmor_compose(u, residue))
-        letters = [l for _, _, tgt in parts for l in tgt]
-    return composite, residue, tuple(letters)
+        letters = tuple([l for _, _, tgt in parts for l in tgt])
+    return composite, residue, letters
 
 
 def build_diagram(sf: SourceFile) -> Diagram:

@@ -260,34 +260,30 @@ class FreeMor2(_FreeMor2Fields):
     def __new__(
         cls, flavor: Flavor, source: Tuple2, target: Tuple2, outer: Content, inners: tuple[FreeMor, ...]
     ) -> FreeMor2:
-        self = tuple.__new__(cls, (flavor, source, target, outer, inners))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self) -> None:
-        if not (type(self.source) is type(self.target) is type(self.inners) is tuple
-                and all(type(b) is tuple for b in self.source + self.target)):
+        if not (type(source) is type(target) is type(inners) is tuple
+                and all(type(b) is tuple for b in source + target)):
             raise StructureError("boundary blocks and inner morphisms must be tuples")
-        m = len(self.source)
-        if len(self.inners) != m or len(self.target) != m:
+        m = len(source)
+        if len(inners) != m or len(target) != m:
             raise StructureError("block counts of boundary and inner morphisms differ")
-        if self.flavor == "M":
-            if self.outer is not None:
+        if flavor == "M":
+            if outer is not None:
                 raise StructureError("flavor M admits only identity outer content")
-        elif self.flavor == "S":
-            if not (type(self.outer) is tuple and len(self.outer) == m and is_perm(self.outer)):
+        elif flavor == "S":
+            if not (type(outer) is tuple and len(outer) == m and is_perm(outer)):
                 raise StructureError("flavor S needs an outer permutation of the blocks")
-        elif self.flavor == "B":
-            if not isinstance(self.outer, BraidWord) or self.outer.n != m:
+        elif flavor == "B":
+            if not isinstance(outer, BraidWord) or outer.n != m:
                 raise StructureError("flavor B needs an outer braid word on the blocks")
         else:
-            raise FlavorError(f"unknown flavor {self.flavor!r}")
-        p = _content_perm(self.flavor, self.outer, m)
-        for i, inner in enumerate(self.inners):
-            if inner.flavor != self.flavor:
+            raise FlavorError(f"unknown flavor {flavor!r}")
+        p = _content_perm(flavor, outer, m)
+        for i, inner in enumerate(inners):
+            if inner.flavor != flavor:
                 raise FlavorError("inner morphism flavor differs from the outer flavor")
-            if inner.source != self.source[i] or inner.target != self.target[p[i]]:
+            if inner.source != source[i] or inner.target != target[p[i]]:
                 raise StructureError(f"inner morphism {i} does not match its blocks")
+        return tuple.__new__(cls, (flavor, source, target, outer, inners))
 
 
 def fmor2_shadow(u: FreeMor2) -> FreeMor2:

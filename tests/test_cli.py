@@ -617,6 +617,46 @@ def test_each_edge_is_typed_once(monkeypatch, shape):
         assert typed == collections.Counter({id(e.term): 1 for e in d.edges.values()})
 
 
+@pytest.mark.parametrize("flavor, swap", [("braided", "s1"), ("symmetric", "perm(2 1)")])
+def test_formed_letter_stays_formed_through_a_braid_factor(tmp_path, flavor, swap):
+    # the swap's target letters are its source letters moved, so phi(a)
+    # stays a formed letter that the pf(..) after it can take
+    path = tmp_path / "formed.coh"
+    path.write_text(_tiny(
+        "node n = [fb] ; phi(a)\nnode m = phi(a) ; [fb]\n"
+        f"edge e : n -> m = pf(outer=id; inner=id) ; id . {swap}\n"
+        f"edge f : n -> m = {swap}\ngoal g : e == f\n", flavor
+    ))
+    _check_says_equal(path)
+
+
+@pytest.mark.parametrize("source", [
+    fixture_text("pair.coh"),
+    fixture_text("cursed_cyclic.coh"),
+    _tiny("node n = [fa fb fa]\nnode m = [fb fa fa]\nedge e : n -> m = s1 ; id . s2 s1 . id ; s1\ngoal g : e == e\n"),
+    _tiny("node n = [fa fb fa]\nnode m = [fb fa fa]\nedge e : n -> m = s1 ; id . s2 s1 . id ; s1\ngoal g : e == e\n",
+          "symmetric"),
+], ids=["pair", "cursed_cyclic", "braided_rows", "symmetric_rows"])
+def test_each_braid_word_factor_is_permuted_once(monkeypatch, source):
+    """Elaboration computes a braid-word factor's permutation once, and
+    builds both its morphism and its target letters from it. The sources
+    have braid words only as factors of rows, not as parts of pf(..)."""
+    sf = parse_source(source)
+    words = [f for *_, ast in sf.edges for row in ast[1] for f in row[1] if f[0] == "word" and f[1]]
+    calls = []
+    braid_perm = cohcheck.braid_core.braid_perm
+
+    def counting(w):
+        calls.append(w)
+        return braid_perm(w)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, "braid_perm", None) is braid_perm:
+            monkeypatch.setattr(mod, "braid_perm", counting)
+    build_diagram(sf)
+    assert words and len(calls) == len(words)
+
+
 def test_check_deep_edge(tmp_path):
     # one edge of 1,200 composed one-letter rows on 3 strands
     word = [("s1", "s2", "s1^-1", "s2", "s2^-1")[i % 5] for i in range(1200)]
