@@ -630,12 +630,11 @@ def test_formed_letter_stays_formed_through_a_braid_factor(tmp_path, flavor, swa
     _check_says_equal(path)
 
 
+_ROWS = "node n = [fa fb fa]\nnode m = [fb fa fa]\nedge e : n -> m = s1 ; id . s2 s1 . id ; s1\ngoal g : e == e\n"
+
+
 @pytest.mark.parametrize("source", [
-    fixture_text("pair.coh"),
-    fixture_text("cursed_cyclic.coh"),
-    _tiny("node n = [fa fb fa]\nnode m = [fb fa fa]\nedge e : n -> m = s1 ; id . s2 s1 . id ; s1\ngoal g : e == e\n"),
-    _tiny("node n = [fa fb fa]\nnode m = [fb fa fa]\nedge e : n -> m = s1 ; id . s2 s1 . id ; s1\ngoal g : e == e\n",
-          "symmetric"),
+    fixture_text("pair.coh"), fixture_text("cursed_cyclic.coh"), _tiny(_ROWS), _tiny(_ROWS, "symmetric"),
 ], ids=["pair", "cursed_cyclic", "braided_rows", "symmetric_rows"])
 def test_each_braid_word_factor_is_permuted_once(monkeypatch, source):
     """Elaboration computes a braid-word factor's permutation once, and
