@@ -40,8 +40,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .braid_core import (
-    _LETTER_RE, BraidWord, Perm, braid_equal, braid_perm, braid_str, normalize_braid, parse_braid,
-    perm_braid, permute,
+    _LETTER_RE, BraidWord, Perm, braid_equal, braid_perm, braid_str, inverse_perm, normalize_braid,
+    parse_braid, perm_braid, permute,
 )
 from .diagram_check import (
     EQUAL,
@@ -56,7 +56,7 @@ from .diagram_check import (
 )
 from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
 from .free_cat import (
-    Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, fmor_compose, fmor_id, fmor_of_perm, fmor_tensor,
+    Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, fmor_id, fmor_of_perm,
 )
 from .functor_eval import FunctorSpec, compose_specs, make_builtin_spec
 from .ualg import (
@@ -635,28 +635,49 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
 
 
 def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, FreeMor, tuple[ULetter, ...]]:
-    """The term, its residue and its target letters. The residue is the
-    term's dissolution, taken factor by factor from the letters each consumed."""
-    letters = raw
-    composite = residue = None
+    """The term, its residue and its target letters. The residue, the term's
+    dissolution, is joined once: each factor adds its labels, and its content
+    at its offset unless it is an identity (id, q, q^-1, an empty word, or
+    braid(..) in M). Flavor S composes the rows on one list of the strand at
+    each position; flavor B joins the rows' letters, the last row first."""
+    phi, flavor = env.phi, env.flavor
+    letters, composite, source, rows = raw, None, (), []
     for row in reversed(ast[1]):
-        pos = 0
-        parts = []
+        pos, terms, tgt_letters, src, tgt, moves = 0, [], [], [], [], []
         for idx, f in enumerate(row[1]):
-            t, chunk, tgt = _elab_factor(f, letters, pos, idx == len(row[1]) - 1, env)
+            t, chunk, t_letters = _elab_factor(f, letters, pos, idx == len(row[1]) - 1, env)
             pos += len(chunk)
-            parts.append((t, _dissolve_leaf(t, chunk, env.phi, env.flavor), tgt))
+            terms.append(t)
+            tgt_letters += t_letters
+            if type(t) in (UId, UPhiQ, UPhiQInv):
+                u_src = u_tgt = uobj_dissolve(chunk, phi)
+            else:
+                u = _dissolve_leaf(t, chunk, phi, flavor)
+                moves.append((len(src), u.content))
+                u_src, u_tgt = u.source, u.target
+            src += u_src
+            tgt += u_tgt
         if pos < len(letters):
             raise ElabError(
                 f"{len(letters) - pos} source letters not consumed, starting at "
                 f"{format_uobj((letters[pos],))}", env.span
             )
-        term, u, _ = parts[-1]
-        for t, v, _ in reversed(parts[:-1]):
-            term, u = UTensor(t, term), fmor_tensor(v, u)
-        composite, residue = (term, u) if composite is None else (UCompose(term, composite), fmor_compose(u, residue))
-        letters = tuple([l for _, _, tgt in parts for l in tgt])
-    return composite, residue, letters
+        term = terms[-1]
+        for t in reversed(terms[:-1]):
+            term = UTensor(t, term)
+        composite, source = (term, tuple(src)) if composite is None else (UCompose(term, composite), source)
+        rows.append(moves)
+        letters = tuple(tgt_letters)
+    content = None
+    if flavor == "S":
+        at = list(range(len(source)))
+        for off, p in (move for moves in rows for move in moves):
+            at[off : off + len(p)] = permute(at[off : off + len(p)], p)
+        content = inverse_perm(at)
+    elif flavor == "B":
+        word = (l + off if l > 0 else l - off for moves in reversed(rows) for off, w in moves for l in w.letters)
+        content = tuple.__new__(BraidWord, (len(source), tuple(word)))
+    return composite, tuple.__new__(FreeMor, (flavor, source, tuple(tgt), content)), letters
 
 
 def build_diagram(sf: SourceFile) -> Diagram:

@@ -59,32 +59,36 @@ class _ObjMapFields(NamedTuple):
 
 
 class ObjMap(_ObjMapFields):
-    """A total map between generator sets; a call checks the pairs. It
-    memoizes the normal forms of letters, plain words and block tuples seen
-    under it in attributes, which take no part in equality, hashing or repr."""
+    """A total map between generator sets, one image per source; a call
+    checks the pairs. It keeps the images in a dict, and memoizes the normal
+    forms of letters, plain words and block tuples seen under it, in
+    attributes that take no part in equality, hashing or repr."""
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
 
     def __new__(cls, source: GenSet, target: GenSet, pairs: tuple[tuple[str, str], ...]) -> ObjMap:
-        seen = dict(pairs)
+        images = dict(pairs)
         for g in source.names:
-            if g not in seen:
+            if g not in images:
                 raise StructureError(f"map is not total: no image for {g!r}")
         for g, img in pairs:
             if g not in source:
                 raise UnknownName(f"map source {g!r} is not in {source.name}")
             if img not in target:
                 raise UnknownName(f"map image {img!r} is not in {target.name}")
+        if len(images) != len(pairs):
+            g = next(g for g in images if sum(h == g for h, _ in pairs) > 1)
+            raise StructureError(f"map gives {g!r} more than one image")
         self = tuple.__new__(cls, (source, target, pairs))
+        self.images: dict[str, str] = images
         self.letters: dict[ULetter, UObj] = {}
         self.free_words: dict[Obj, UObj] = {}
         self.block_words: dict[Tuple2, UObj] = {}
         return self
 
     def __call__(self, g: str) -> str:
-        for src, img in self.pairs:
-            if src == g:
-                return img
-        raise UnknownName(f"unknown generator {g!r} in {self.source.name}")
+        if g not in self.images:
+            raise UnknownName(f"unknown generator {g!r} in {self.source.name}")
+        return self.images[g]
 
 
 def identity_obj_map(gens: GenSet) -> ObjMap:

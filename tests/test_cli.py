@@ -543,8 +543,15 @@ def test_check_interp_of_an_image_too_large_to_build_exits_2(tmp_path):
         ),
         ("check", _tiny("node n = [fa]\ninterp zz = [a a]\n"), 2, "", "error: line 6, col 1: 'zz' is not a generator of A2\n"),
         ("check", _tiny("node n = [fa]\ninterp fa = [a zz]\n"), 2, "", "error: line 6, col 1: 'zz' is not a generator of A\n"),
+        (
+            "check", _tiny("node n = [fa]\n").replace("a -> fa;", "a -> fa; a -> fb;"), 2, "",
+            "error: map gives 'a' more than one image\n",
+        ),
     ],
-    ids=["dissolve-monoidal", "no-map", "copying-functor-in-monoidal", "interp-of-no-generator", "interp-by-no-generator"],
+    ids=[
+        "dissolve-monoidal", "no-map", "copying-functor-in-monoidal", "interp-of-no-generator",
+        "interp-by-no-generator", "map-repeats-a-source",
+    ],
 )
 def test_command_output(tmp_path, command, text, status, stdout, stderr):
     path = tmp_path / "file.coh"
@@ -654,6 +661,33 @@ def test_each_braid_word_factor_is_permuted_once(monkeypatch, source):
             monkeypatch.setattr(mod, "braid_perm", counting)
     build_diagram(sf)
     assert words and len(calls) == len(words)
+
+
+@pytest.mark.parametrize("source", [
+    _tiny(_ROWS), _tiny(_ROWS, "symmetric"),
+    _tiny("node n = [fa fb fa]\nedge e : n -> n = q^-1(a | b) ; id . id ; id . q(a | b) ; id . braid([fa], []) ; id ; id\n"
+          "goal g : e == e\n", "monoidal"),
+], ids=["braided_rows", "symmetric_rows", "monoidal_rows"])
+def test_each_edge_residue_is_joined_without_binary_calls(monkeypatch, source):
+    """Elaboration joins each row's residue, and each edge's rows, once: the
+    binary fmor_tensor and fmor_compose never run on a file without pf(..),
+    whose flattening is the only caller left on the way."""
+    sf = parse_source(source)
+    assert all(f[0] != "pf" for *_, ast in sf.edges for row in ast[1] for f in row[1])
+    assert max(len(row[1]) for *_, ast in sf.edges for row in ast[1]) > 1
+    calls = collections.Counter()
+    for name in ("fmor_tensor", "fmor_compose"):
+        binary = getattr(cohcheck.free_cat, name)
+
+        def counting(*args, name=name, binary=binary):
+            calls[name] += 1
+            return binary(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, name, None) is binary:
+                monkeypatch.setattr(mod, name, counting)
+    build_diagram(sf)
+    assert calls == collections.Counter()
 
 
 def test_check_deep_edge(tmp_path):

@@ -13,9 +13,7 @@ from pathlib import Path
 import pytest
 
 from cohcheck.cli import build_diagram, parse_source
-from cohcheck.diagram_check import Diagram
 from cohcheck.errors import CohError
-from cohcheck.ualg import _dissolution
 
 import parse_mutants
 
@@ -37,17 +35,45 @@ def _gen():
     return module
 
 
-def _assert_residues_are_the_fold(d: Diagram) -> None:
-    assert d.residues.keys() == d.edges.keys()
-    for name, e in d.edges.items():
-        edge, residue = d.residues[name]
-        assert edge is e
-        assert _dissolution(e.term, d.phi, d.flavor) == (d.nodes[e.source], d.nodes[e.target], residue), name
-
-
 @pytest.mark.parametrize("path", FIXTURES + LONG, ids=lambda p: p.name)
 def test_residue_is_the_fold_on_files(path):
-    _assert_residues_are_the_fold(build_diagram(parse_source(path.read_text(encoding="utf-8"))))
+    parse_mutants.assert_residues_are_the_fold(build_diagram(parse_source(path.read_text(encoding="utf-8"))))
+
+
+_HEAD = "gens A = { a, b }\ngens A2 = { fa, fb }\nmap phi : A -> A2 { a -> fa; b -> fb }\n"
+# rows of several factors, so that each factor's labels and content land at
+# an offset: no fixture, tests/long file or gen.py shape is monoidal, and
+# the braided rows put inverse letters (s1^-1 in a word and in a pf outer
+# or inner) after other factors
+JOINED_ROWS = {
+    "monoidal": "flavor monoidal\n" + _HEAD + (
+        "node n = [fa fb fa fb]\n"
+        "edge e : n -> n = id ; id ; q^-1(a | b) . q^-1(a | b) ; id . id ; pf(outer=id; inner=id) . q(a | b) ; q(a | b)\n"
+        "edge f : n -> n = q^-1(a | b) ; q^-1(a | b) . pf(outer=id; inner=id, id) . q(a | b) ; q(a | b) . braid([fa], []) ; id\n"
+        "goal g : f . e == e\n"
+    ),
+    "braided": "flavor braided\n" + _HEAD + (
+        "node n = [fa fa fb fa fb]\n"
+        'edge e : n -> n = id ; braid([fa], [fa fb]) ; id . "s1" ; "" ; s1^-1 s2 s1^-1 . id ; q^-1(a | b) ; q^-1(b | a)'
+        " . id ; pf(outer=s1^-1; inner=s1^-1, id) . id ; q(a | b) ; q(a | b)\n"
+        "goal g : e == e\n"
+    ),
+    "symmetric": "flavor symmetric\n" + _HEAD + (
+        "node n = [fa fb fa fb]\n"
+        "node m = [fb fa fb fa]\n"
+        "node p = phi(a b) ; [fa fa fb fb fa fa fb]\n"
+        "node r = phi(b a) ; [fa] ; phi(a b) ; [fa fb fb fa]\n"
+        "edge e : n -> m = id ; braid([fa], [fa fb]) . q^-1(b | a) ; id ; id . pf(outer=id; inner=perm(2 1)) ; perm(2 1)"
+        " . q(a | b) ; braid([fa], [fb])\n"
+        "edge f : p -> r = pf(outer=id; inner=perm(2 1)) ; id ; q(a | b) ; perm(2 1) ; braid([fa], [fb])\n"
+        "goal g : e == e\ngoal h : f == f\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(JOINED_ROWS))
+def test_residue_is_the_fold_on_joined_rows(flavor):
+    parse_mutants.assert_residues_are_the_fold(build_diagram(parse_source(JOINED_ROWS[flavor])))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -63,7 +89,7 @@ def test_residue_is_the_fold_on_generated_files(seed):
         shape = gen.Shape("S", 8, ("a", "b", "c"), 3, 35, 0.3, functor)
         made.append(gen.make_file(rng, "symmetric", shape, verdict))
     for f in made:
-        _assert_residues_are_the_fold(build_diagram(parse_source(f.text)))
+        parse_mutants.assert_residues_are_the_fold(build_diagram(parse_source(f.text)))
 
 
 def test_residue_is_the_fold_on_every_mutant_that_builds():
@@ -73,7 +99,7 @@ def test_residue_is_the_fold_on_every_mutant_that_builds():
             d = build_diagram(parse_source(source))
         except CohError:
             continue
-        _assert_residues_are_the_fold(d)
+        parse_mutants.assert_residues_are_the_fold(d)
         built += 1
     # golden_build_outcomes.json: 80 whose goals all report, 3 whose
     # interpretation fails only when a goal is explained

@@ -17,11 +17,11 @@ GOLDEN_AXIOMS = (Path(__file__).resolve().parent / "golden_axiom_report.txt").re
 GOLDEN_AXIOMS_LEN3 = (Path(__file__).resolve().parent / "golden_axiom_report_len3.txt").read_text(encoding="utf-8")
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, folder: str = "scripts") -> subprocess.CompletedProcess:
     src = str(Path(cohcheck.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args], env=env, capture_output=True, text=True
+        [sys.executable, str(ROOT / folder / name), *args], env=env, capture_output=True, text=True
     )
 
 
@@ -93,4 +93,17 @@ def test_check_corpus_unreadable_files_are_error_rows(tmp_path):
     assert rows == [
         f"bad error: {tmp_path / 'bad.coh'}: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte",
         f"dir error: {tmp_path / 'dir.coh'}: Is a directory",
+    ]
+
+
+def test_mutation_differential():
+    # the differential that elaboration changes run at N = 60,000 on both
+    # trees, at a size tier-1 affords: the digest freezes the mutants drawn
+    # and their outcomes, and every diagram that builds agrees with the fold
+    r = run_script("parse_mutants.py", "differential", "300", "7", folder="tests")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines() == [
+        "digest f043aa2579d1008b7d2e9609d889cba895353503de817623a07c6cad65d4df5d",
+        "ParseError 274", "ElabError 21", "StructureError 2", "built 2", "UnknownName 1",
+        "fold agreed on 2 diagrams",
     ]

@@ -63,6 +63,10 @@ def test_obj_map_must_be_total():
         ObjMap(AB, F1, (("a", "f"),))
     with pytest.raises(UnknownName):
         ObjMap(A, A2, (("a", "nope"),))
+    # one image per source: a repeated source is rejected, not read by its first pair
+    for images in (("fa", "fb"), ("fa", "fa")):
+        with pytest.raises(StructureError, match="^map gives 'a' more than one image$"):
+            ObjMap(AB, GenSet("A2", ("fa", "fb")), (("a", images[0]), ("b", "fb"), ("a", images[1])))
 
 
 def test_obj_map_replace_and_make_check_and_memoize():
