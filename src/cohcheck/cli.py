@@ -40,8 +40,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .braid_core import (
-    _LETTER_RE, BraidWord, Perm, braid_equal, braid_perm, braid_str, inverse_perm, normalize_braid,
-    parse_braid, perm_braid, permute,
+    _LETTER_RE, BraidWord, Perm, block_braid, block_perm, braid_equal, braid_perm, braid_str, inverse_perm,
+    normalize_braid, parse_braid, perm_braid, permute,
 )
 from .diagram_check import (
     EQUAL,
@@ -56,7 +56,7 @@ from .diagram_check import (
 )
 from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
 from .free_cat import (
-    Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, fmor_id, fmor_of_perm,
+    Content, Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, flatten_mu, fmor_id,
 )
 from .functor_eval import FunctorSpec, compose_specs, make_builtin_spec
 from .ualg import (
@@ -72,7 +72,6 @@ from .ualg import (
     UPhiQ,
     UPhiQInv,
     UTensor,
-    _dissolve_leaf,
     format_uobj,
     normalize_uobj,
     uobj_dissolve,
@@ -536,24 +535,26 @@ def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> tuple[Fre
         if len(f[1]) != n:
             misfit = "perm of length {} on a block of {}" if part == "inner" else "outer perm of length {} on {} blocks"
             raise ElabError(misfit.format(len(f[1]), n), env.span)
-        return fmor_of_perm(x, f[1]), f[1]
-    if any(abs(l) > n - 1 for l in f[1]):
+        p = f[1]
+    elif any(abs(l) > n - 1 for l in f[1]):
         raise ElabError(f"{part} word uses strand {max(abs(l) for l in f[1]) + 1}, only {n} available", env.span)
-    word = tuple.__new__(BraidWord, (n, f[1]))
-    p = braid_perm(word)
-    if env.flavor == "S":
-        return fmor_of_perm(x, p), p
-    return tuple.__new__(FreeMor, ("B", x, tuple(permute(x, p)), word)), p  # valid: its target is x permuted by p
+    else:
+        word = tuple.__new__(BraidWord, (n, f[1]))
+        p = braid_perm(word)
+    content = p if env.flavor == "S" else word  # valid: the target is x permuted by p
+    return tuple.__new__(FreeMor, (env.flavor, x, tuple(permute(x, p)), content)), p
 
 
 def _elab_factor(
     f: tuple, letters: tuple[ULetter, ...], pos: int, final: bool, env: _Env
-) -> tuple[object, tuple[ULetter, ...], Sequence[ULetter]]:
-    """The factor's term, the chunk it consumes from pos, and its target letters."""
+) -> tuple[object, tuple[ULetter, ...], Sequence[ULetter], int, Content]:
+    """The factor's term, the chunk it consumes from pos, its target letters,
+    and the width and content of its move on the chunk's labels; the content
+    is None for an identity (id, q, q^-1, an empty word, any factor in M)."""
     phi = env.phi
     if f[0] == "id":
         chunk = _take(letters, pos, len(letters) - pos if final else 1, "id", env)
-        return UId(normalize_uobj(chunk, phi)), chunk, chunk
+        return UId(normalize_uobj(chunk, phi)), chunk, chunk, len(uobj_dissolve(chunk, phi)), None
 
     if f[0] in ("word", "perm"):
         _check_flavor(f, env)
@@ -566,9 +567,9 @@ def _elab_factor(
                 raise ElabError(f"word needs {min_width} strands, {width} left", env.span)
             chunk = _take(letters, pos, width, "braid word", env)
             if not f[1]:
-                return UId(normalize_uobj(chunk, phi)), chunk, chunk
+                return UId(normalize_uobj(chunk, phi)), chunk, chunk, len(uobj_dissolve(chunk, phi)), None
         u, p = _free_mor(f, _free_labels(chunk, env), env, "")
-        return UFree(u), chunk, permute(chunk, p)
+        return UFree(u), chunk, permute(chunk, p), len(chunk), u.content
 
     if f[0] in ("q", "qinv"):
         blocks = f[1]
@@ -584,13 +585,13 @@ def _elab_factor(
                     raise ElabError(
                         f"{format_uobj((letter,))} does not match the block ({' '.join(w)})", env.span
                     )
-            return UPhiQ(blocks), chunk, (PhiLetter(merged),)
+            return UPhiQ(blocks), chunk, (PhiLetter(merged),), len(merged), None
         chunk = _take(letters, pos, 1, "q^-1", env)
         if not _letter_matches_block(chunk[0], merged, env):
             raise ElabError(
                 f"{format_uobj(chunk)} does not match the merged block ({' '.join(merged)})", env.span
             )
-        return UPhiQInv(blocks), chunk, [PhiLetter(w) for w in blocks]
+        return UPhiQInv(blocks), chunk, [PhiLetter(w) for w in blocks], len(merged), None
 
     if f[0] == "pf":
         inners_ast = f[2]
@@ -603,7 +604,8 @@ def _elab_factor(
         inners = tuple(_free_mor(g, w, env, "inner")[0] for g, w in zip(inners_ast, blocks))
         outer = _free_mor(f[1], tuple(u.target for u in inners), env, "outer")[0]
         m2 = FreeMor2(env.flavor, tuple(blocks), outer.target, outer.content, inners)
-        return UPhiFree(m2), chunk, [PhiLetter(w) for w in m2.target]
+        u = flatten_mu(m2)
+        return UPhiFree(m2), chunk, [PhiLetter(w) for w in m2.target], len(u.source), u.content
 
     if f[0] == "braid":
         xraw = _elab_obj(f[1], env)
@@ -617,11 +619,13 @@ def _elab_factor(
                 f"braid arguments {format_uobj(x)} ; {format_uobj(y)} do not match the "
                 f"source letters {format_uobj(got_x)} ; {format_uobj(got_y)}", env.span
             )
+        m, n = len(uobj_dissolve(x, phi)), len(uobj_dissolve(y, phi))
         if env.flavor == "M":
             if x and y:
                 raise ElabError("the plain flavor has no braiding", env.span)
-            return UId(x + y), chunk, chunk
-        return UBraiding(x, y), chunk, chunk[k:] + chunk[:k]
+            return UId(x + y), chunk, chunk, m + n, None
+        content = (block_perm if env.flavor == "S" else block_braid)(m, n)
+        return UBraiding(x, y), chunk, chunk[k:] + chunk[:k], m + n, content
 
     raise ElabError(f"unknown factor {f[0]!r}", env.span)
 
@@ -636,27 +640,22 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
 
 def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, FreeMor, tuple[ULetter, ...]]:
     """The term, its residue and its target letters. The residue, the term's
-    dissolution, is joined once: each factor adds its labels, and its content
-    at its offset unless it is an identity (id, q, q^-1, an empty word, or
-    braid(..) in M). Flavor S composes the rows on one list of the strand at
-    each position; flavor B joins the rows' letters, the last row first."""
+    dissolution, is joined once: each factor's content goes at its label
+    offset, and the source and target are the edge's letters dissolved. Flavor
+    S composes the rows on one list of the strand at each position; flavor B
+    joins the rows' letters, the last row first."""
     phi, flavor = env.phi, env.flavor
-    letters, composite, source, rows = raw, None, (), []
+    letters, composite, rows = raw, None, []
     for row in reversed(ast[1]):
-        pos, terms, tgt_letters, src, tgt, moves = 0, [], [], [], [], []
+        pos, off, terms, tgt_letters, moves = 0, 0, [], [], []
         for idx, f in enumerate(row[1]):
-            t, chunk, t_letters = _elab_factor(f, letters, pos, idx == len(row[1]) - 1, env)
+            t, chunk, t_letters, width, content = _elab_factor(f, letters, pos, idx == len(row[1]) - 1, env)
+            if content is not None:
+                moves.append((off, content))
             pos += len(chunk)
+            off += width
             terms.append(t)
             tgt_letters += t_letters
-            if type(t) in (UId, UPhiQ, UPhiQInv):
-                u_src = u_tgt = uobj_dissolve(chunk, phi)
-            else:
-                u = _dissolve_leaf(t, chunk, phi, flavor)
-                moves.append((len(src), u.content))
-                u_src, u_tgt = u.source, u.target
-            src += u_src
-            tgt += u_tgt
         if pos < len(letters):
             raise ElabError(
                 f"{len(letters) - pos} source letters not consumed, starting at "
@@ -665,10 +664,10 @@ def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object,
         term = terms[-1]
         for t in reversed(terms[:-1]):
             term = UTensor(t, term)
-        composite, source = (term, tuple(src)) if composite is None else (UCompose(term, composite), source)
+        composite = term if composite is None else UCompose(term, composite)
         rows.append(moves)
         letters = tuple(tgt_letters)
-    content = None
+    source, content = uobj_dissolve(raw, phi), None
     if flavor == "S":
         at = list(range(len(source)))
         for off, p in (move for moves in rows for move in moves):
@@ -677,7 +676,7 @@ def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object,
     elif flavor == "B":
         word = (l + off if l > 0 else l - off for moves in reversed(rows) for off, w in moves for l in w.letters)
         content = tuple.__new__(BraidWord, (len(source), tuple(word)))
-    return composite, tuple.__new__(FreeMor, (flavor, source, tuple(tgt), content)), letters
+    return composite, tuple.__new__(FreeMor, (flavor, source, uobj_dissolve(letters, phi), content)), letters
 
 
 def build_diagram(sf: SourceFile) -> Diagram:

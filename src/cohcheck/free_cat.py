@@ -35,7 +35,7 @@ from .braid_core import (
     perm_braid,
     permute,
 )
-from .errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
+from .errors import BoundaryError, FlavorError, StructureError, UnsupportedOp
 
 Flavor = Literal["M", "S", "B"]
 FLAVORS: tuple[Flavor, ...] = ("M", "S", "B")
@@ -221,11 +221,9 @@ def fmor_equal(u: FreeMor, v: FreeMor) -> bool:
     return braid_equal(u.content, v.content)
 
 
-def project_generator(u: FreeMor, g: str, gens: GenSet | None = None) -> Perm:
+def project_generator(u: FreeMor, g: str) -> Perm:
     """The self-permutation of the g-labeled strands: delete every other
     position and renumber. Flavor S only; for braids, project the shadow."""
-    if gens is not None and g not in gens:
-        raise UnknownName(f"unknown generator {g!r} in {gens.name}")
     if u.flavor != "S":
         raise UnsupportedOp("self-permutations are defined for flavor S")
     p = u.content

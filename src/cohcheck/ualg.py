@@ -60,9 +60,8 @@ class _ObjMapFields(NamedTuple):
 
 class ObjMap(_ObjMapFields):
     """A total map between generator sets, one image per source; a call
-    checks the pairs. It keeps the images in a dict, and memoizes the normal
-    forms of letters, plain words and block tuples seen under it, in
-    attributes that take no part in equality, hashing or repr."""
+    checks the pairs. It keeps the images in a dict and memoizes the normal
+    form of each letter, in attributes outside equality, hashing and repr."""
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
 
     def __new__(cls, source: GenSet, target: GenSet, pairs: tuple[tuple[str, str], ...]) -> ObjMap:
@@ -81,8 +80,6 @@ class ObjMap(_ObjMapFields):
         self = tuple.__new__(cls, (source, target, pairs))
         self.images: dict[str, str] = images
         self.letters: dict[ULetter, UObj] = {}
-        self.free_words: dict[Obj, UObj] = {}
-        self.block_words: dict[Tuple2, UObj] = {}
         return self
 
     def __call__(self, g: str) -> str:
@@ -149,17 +146,11 @@ def normalize_uobj(x: Iterable[ULetter], phi: ObjMap) -> UObj:
 
 def phi_object(blocks: Tuple2, phi: ObjMap) -> UObj:
     """The normalized word of formed letters for a tuple of source words."""
-    x = phi.block_words.get(blocks)
-    if x is None:
-        x = phi.block_words[blocks] = normalize_uobj([PhiLetter(tuple(b)) for b in blocks], phi)
-    return x
+    return normalize_uobj([PhiLetter(tuple(b)) for b in blocks], phi)
 
 
 def free_uobj(word: Obj, phi: ObjMap) -> UObj:
-    x = phi.free_words.get(word)
-    if x is None:
-        x = phi.free_words[word] = normalize_uobj(map(FreeLetter, word), phi)
-    return x
+    return normalize_uobj(map(FreeLetter, word), phi)
 
 
 def uobj_dissolve(x: Iterable[ULetter], phi: ObjMap) -> Obj:

@@ -331,8 +331,6 @@ def test_projection_cyclic_on_eight():
 def test_projection_errors():
     with pytest.raises(UnsupportedOp):
         project_generator(fmor_id("B", ("a",)), "a")
-    with pytest.raises(UnknownName):
-        project_generator(fmor_id("S", ("a",)), "x", gens=AB)
 
 
 def _label_preserving(x: tuple[str, ...]):

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, and every
 module it imports is its own or the standard library's, other than
-dataclasses. No linter runs on the project, and a deletion can leave an
-import behind."""
+dataclasses. Every top-level function and class of the library is used
+somewhere. No linter runs on the project, and a deletion can leave an
+import or a definition behind."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cohcheck"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cohcheck"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -50,3 +52,33 @@ def test_only_the_standard_library_is_imported(path):
 def test_records_are_named_tuples(path):
     # one record idiom: every library record is a NamedTuple, none a dataclass
     assert "dataclasses" not in _imported_modules(path)
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """The names a subtree reads: variables, attributes, imported names, and
+    strings, which getattr and perfbench's tracer hooks look names up by."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.add(n.value)
+    return names
+
+
+def test_every_library_definition_is_used():
+    # a definition's own body does not count as a use of it
+    defined, used = set(), set()
+    for folder in ("src", "scripts", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                names = _read_names(stmt)
+                if path.parent == SRC and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(stmt.name)
+                    names.discard(stmt.name)
+                used |= names
+    assert defined and sorted(defined - used) == []

@@ -5,6 +5,7 @@ boundaries, must be exactly what the fold makes of the edge's term."""
 
 from __future__ import annotations
 
+import collections
 import importlib.util
 import random
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from cohcheck import ualg
 from cohcheck.cli import build_diagram, parse_source
 from cohcheck.errors import CohError
 
@@ -74,6 +76,32 @@ JOINED_ROWS = {
 @pytest.mark.parametrize("flavor", sorted(JOINED_ROWS))
 def test_residue_is_the_fold_on_joined_rows(flavor):
     parse_mutants.assert_residues_are_the_fold(build_diagram(parse_source(JOINED_ROWS[flavor])))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [p.read_text(encoding="utf-8") for p in FIXTURES] + [JOINED_ROWS[f] for f in sorted(JOINED_ROWS)],
+    ids=[p.name for p in FIXTURES] + sorted(JOINED_ROWS),
+)
+def test_each_factor_hands_back_its_content(monkeypatch, source):
+    """Each factor's branch of cli._elab_factor hands back its dissolved
+    content, and each edge's boundary is its letters dissolved: building a
+    parsed file never calls the fold's leaf, its relabelling or the boundary
+    helpers of its typing."""
+    sf = parse_source(source)
+    calls = collections.Counter()
+    for name in ("_dissolve_leaf", "_relabel", "free_uobj", "phi_object"):
+        fn = getattr(ualg, name)
+
+        def counting(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    build_diagram(sf)
+    assert calls == collections.Counter()
 
 
 @pytest.mark.parametrize("seed", [1, 2])

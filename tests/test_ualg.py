@@ -70,10 +70,11 @@ def test_obj_map_must_be_total():
 
 
 def test_obj_map_replace_and_make_check_and_memoize():
-    # both go through __new__, so the copy has its own empty memos
+    # both go through __new__, so the copy has its own empty memo
+    normalize_uobj((PhiLetter(("a",)),), PHI_A)
     m = PHI_A._replace(pairs=(("a", "fa"),))
-    assert m == PHI_A and m.free_words == {} and m.free_words is not PHI_A.free_words
-    assert free_uobj(("fa",), m) == (FreeLetter("fa"),)
+    assert PHI_A.letters and m == PHI_A and m.letters == {}
+    assert free_uobj(("fa",), m) == (FreeLetter("fa"),) and m.letters == {FreeLetter("fa"): (FreeLetter("fa"),)}
     assert ObjMap._make(PHI_A).letters == {}
     with pytest.raises(StructureError):
         PHI_A._replace(pairs=())
@@ -372,13 +373,11 @@ def test_warm_map_normalizes_like_a_fresh_one(data):
         blocks = tuple(
             tuple(b) for b in data.draw(st.lists(st.lists(st.sampled_from(phi.source.names), max_size=3), max_size=4))
         )
-        for _ in range(2):  # the second round is served from the memo
+        for _ in range(2):  # the second round reads every letter from the memo
             fresh = ObjMap(phi.source, phi.target, phi.pairs)
             assert _same(normalize_uobj(x, warm), normalize_uobj(x, fresh))
             assert _same(free_uobj(word, warm), free_uobj(word, fresh))
             assert _same(phi_object(blocks, warm), phi_object(blocks, fresh))
-    assert free_uobj(word, warm) is free_uobj(word, warm)
-    assert phi_object(blocks, warm) is phi_object(blocks, warm)
 
 
 @pytest.mark.parametrize(
@@ -399,8 +398,6 @@ def test_memo_keeps_nothing_faulty(normalize, message):
         assert str(err.value) == message
     faulty = (FreeLetter("z"), PhiLetter(("a", "z")), FreeLetter("zz"), PhiLetter(("b", "zz")))
     assert not any(l in phi.letters for l in faulty)
-    assert ("f", "zz") not in phi.free_words
-    assert (("a",), ("b", "zz")) not in phi.block_words
 
 
 def test_warm_map_still_equals_a_cold_one():
@@ -409,7 +406,7 @@ def test_warm_map_still_equals_a_cold_one():
     normalize_uobj((FreeLetter("fa"), PhiLetter(("b",)), PhiLetter(("c", "d"))), warm)
     free_uobj(("fa", "fb"), warm)
     phi_object((("a", "b"), ("c",)), warm)
-    assert warm.letters and warm.free_words and warm.block_words and not cold.letters
+    assert warm.letters and not cold.letters
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
