@@ -117,13 +117,6 @@ def braid_tensor(u: BraidWord, v: BraidWord) -> BraidWord:
     return tuple.__new__(BraidWord, (u.n + v.n, u.letters + shifted))
 
 
-def braid_shift(w: BraidWord, off: int, n: int) -> BraidWord:
-    """Reindex w to live on strands off+1..off+w.n inside B_n."""
-    if off < 0 or off + w.n > n:
-        raise StructureError(f"cannot shift a braid on {w.n} strands by {off} inside {n}")
-    return tuple.__new__(BraidWord, (n, tuple(l + off if l > 0 else l - off for l in w.letters)))
-
-
 def braid_inverse(w: BraidWord) -> BraidWord:
     return tuple.__new__(BraidWord, (w.n, tuple(-l for l in reversed(w.letters))))
 
@@ -190,23 +183,18 @@ def cable(w: BraidWord, sizes: list[int]) -> BraidWord:
     """Replace strand i of w by sizes[i] parallel strands."""
     if len(sizes) != w.n or any(s < 0 for s in sizes):
         raise StructureError(f"cannot cable {w.n} strands by sizes {sizes}")
-    total = sum(sizes)
     blocks = list(sizes)
-    chunks: list[BraidWord] = []  # in application order
+    chunks: list[tuple[int, ...]] = []  # in application order, each shifted to its blocks' strands
     for l in reversed(w.letters):
         j = abs(l) - 1
         a, b = blocks[j], blocks[j + 1]
         off = sum(blocks[:j])
         if l > 0:
-            piece = braid_shift(block_braid(a, b), off, total)
+            chunks.append(tuple(k + off for k in block_braid(a, b).letters))
         else:
-            piece = braid_inverse(braid_shift(block_braid(b, a), off, total))
-        chunks.append(piece)
+            chunks.append(tuple(-k - off for k in reversed(block_braid(b, a).letters)))
         blocks[j], blocks[j + 1] = b, a
-    letters: list[int] = []
-    for piece in reversed(chunks):
-        letters.extend(piece.letters)
-    return tuple.__new__(BraidWord, (total, tuple(letters)))
+    return tuple.__new__(BraidWord, (sum(sizes), tuple(k for piece in reversed(chunks) for k in piece)))
 
 
 def cable_perm(p: Perm, sizes: list[int]) -> Perm:

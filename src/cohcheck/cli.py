@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .braid_core import (
-    _LETTER_RE, BraidWord, Perm, block_braid, block_perm, braid_equal, braid_perm, braid_str, inverse_perm,
+    _LETTER_RE, BraidWord, Perm, block_braid, block_perm, braid_equal, braid_perm, braid_str,
     normalize_braid, parse_braid, perm_braid, permute,
 )
 from .diagram_check import (
@@ -56,7 +56,7 @@ from .diagram_check import (
 )
 from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
 from .free_cat import (
-    Content, Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, flatten_mu, fmor_id,
+    Content, Flavor, FreeMor, FreeMor2, GenSet, Label, display_braid, flatten_mu, fmor_id, fmor_join,
 )
 from .functor_eval import FunctorSpec, compose_specs, make_builtin_spec
 from .ualg import (
@@ -640,11 +640,9 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
 
 def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, FreeMor, tuple[ULetter, ...]]:
     """The term, its residue and its target letters. The residue, the term's
-    dissolution, is joined once: each factor's content goes at its label
-    offset, and the source and target are the edge's letters dissolved. Flavor
-    S composes the rows on one list of the strand at each position; flavor B
-    joins the rows' letters, the last row first."""
-    phi, flavor = env.phi, env.flavor
+    dissolution, is one fmor_join of the rows: each factor's content goes at
+    its label offset, and the source and target are the edge's letters
+    dissolved."""
     letters, composite, rows = raw, None, []
     for row in reversed(ast[1]):
         pos, off, terms, tgt_letters, moves = 0, 0, [], [], []
@@ -667,16 +665,7 @@ def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object,
         composite = term if composite is None else UCompose(term, composite)
         rows.append(moves)
         letters = tuple(tgt_letters)
-    source, content = uobj_dissolve(raw, phi), None
-    if flavor == "S":
-        at = list(range(len(source)))
-        for off, p in (move for moves in rows for move in moves):
-            at[off : off + len(p)] = permute(at[off : off + len(p)], p)
-        content = inverse_perm(at)
-    elif flavor == "B":
-        word = (l + off if l > 0 else l - off for moves in reversed(rows) for off, w in moves for l in w.letters)
-        content = tuple.__new__(BraidWord, (len(source), tuple(word)))
-    return composite, tuple.__new__(FreeMor, (flavor, source, uobj_dissolve(letters, phi), content)), letters
+    return composite, fmor_join(env.flavor, uobj_dissolve(raw, env.phi), uobj_dissolve(letters, env.phi), rows), letters
 
 
 def build_diagram(sf: SourceFile) -> Diagram:

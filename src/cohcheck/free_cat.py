@@ -13,6 +13,7 @@ both levels; at depth two the "generators" are themselves tuples.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Literal, NamedTuple
 
 from .braid_core import (
@@ -177,6 +178,28 @@ def fmor_tensor(u: FreeMor, v: FreeMor) -> FreeMor:
     return tuple.__new__(FreeMor, (u.flavor, u.source + v.source, u.target + v.target, content))
 
 
+def _join_perms(n: int, rows: list[list[tuple[int, Perm]]]) -> Perm:
+    at = list(range(n))  # at[j] = the strand now at position j
+    for off, p in (move for moves in rows for move in moves):
+        at[off : off + len(p)] = permute(at[off : off + len(p)], p)
+    return inverse_perm(at)
+
+
+def _join_braids(n: int, rows: list[list[tuple[int, BraidWord]]]) -> BraidWord:
+    word = (l + off if l > 0 else l - off for moves in reversed(rows) for off, w in moves for l in w.letters)
+    return tuple.__new__(BraidWord, (n, tuple(word)))
+
+
+def fmor_join(flavor: Flavor, source: tuple[Label, ...], target: tuple[Label, ...], rows: list[list]) -> FreeMor:
+    """The composite of rows, in the order they apply; each row is a list of
+    (label offset, content) moves on disjoint strands. Flavor S composes the
+    moves on one list of the strand at each position; flavor B joins the
+    letters, the last row first. The boundary is the caller's and is not
+    checked."""
+    content = _by_flavor(flavor, _join_perms, _join_braids, len(source), rows)
+    return tuple.__new__(FreeMor, (flavor, source, target, content))
+
+
 def fmor_inverse(u: FreeMor) -> FreeMor:
     content = _by_flavor(u.flavor, inverse_perm, braid_inverse, u.content)
     return tuple.__new__(FreeMor, (u.flavor, u.target, u.source, content))
@@ -206,14 +229,10 @@ def permutation_shadow(u: FreeMor) -> FreeMor:
     return tuple.__new__(FreeMor, ("S", u.source, u.target, underlying_permutation(u)))
 
 
-def check_parallel(u: FreeMor, v: FreeMor) -> None:
+def fmor_equal(u: FreeMor, v: FreeMor) -> bool:
     _check_flavors(u, v)
     if u.source != v.source or u.target != v.target:
         raise BoundaryError("equality of non-parallel morphisms")
-
-
-def fmor_equal(u: FreeMor, v: FreeMor) -> bool:
-    check_parallel(u, v)
     if u.flavor == "M":
         return True
     if u.flavor == "S":
@@ -292,16 +311,13 @@ def fmor2_shadow(u: FreeMor2) -> FreeMor2:
 
 
 def flatten_mu(u: FreeMor2) -> FreeMor:
-    """Collapse a depth-two morphism to depth one: cable the outer braid by
-    the block sizes and precompose with the block sum of the inners."""
-    flavor = u.flavor
+    """Collapse a depth-two morphism to depth one in one join: a row of the
+    inners at their block offsets, then a row of the outer braid cabled by
+    the block sizes."""
     sizes = [len(b) for b in u.source]
-    inner_sum = fmor_id(flavor, ())
-    for inner in u.inners:
-        inner_sum = fmor_tensor(inner_sum, inner)
-    content = _by_flavor(flavor, cable_perm, cable, u.outer, sizes)
-    cabled = tuple.__new__(FreeMor, (flavor, inner_sum.target, concat_blocks(u.target), content))
-    return fmor_compose(cabled, inner_sum)
+    inners = [(off, inner.content) for off, inner in zip(accumulate(sizes, initial=0), u.inners)]
+    outer = _by_flavor(u.flavor, cable_perm, cable, u.outer, sizes)
+    return fmor_join(u.flavor, concat_blocks(u.source), concat_blocks(u.target), [inners, [(0, outer)]])
 
 
 def format_obj(x: Obj) -> str:

@@ -7,11 +7,12 @@ f2 depends on its arguments only through their lengths, and each spec
 builds it once per length pair. check_axioms probes the coherence axioms
 on finite sets of objects; in the braided flavor the braid axiom is
 probed separately because a functor can be coherent for permutations yet
-fail it for braids. For a copying functor every content on both sides of
-an axiom depends only on the lengths of its witness words, so a pass at
-one witness is a pass at every witness of the same lengths, and
-check_axioms decides each axiom once per such length signature; a
-failure is still built at each of its witnesses.
+fail it for braids. For a copying functor, or a composite of copying
+functors, every content on both sides of an axiom depends only on the
+lengths of its witness words, so a pass at one witness is a pass at
+every witness of the same lengths, and check_axioms decides each axiom
+once per such length signature; a failure is still built at each of its
+witnesses.
 
 lambda_eval reads a universal-algebra term through a functor: plain
 letters through a caller-supplied interpretation, formed letters through
@@ -34,13 +35,13 @@ from .free_cat import (
     FreeMor2,
     GenSet,
     Obj,
-    check_parallel,
     flatten_mu,
     fmor_braiding,
     fmor_compose,
     fmor_equal,
     fmor_id,
     fmor_inverse,
+    fmor_join,
     fmor_tensor,
 )
 from .ualg import (
@@ -102,28 +103,17 @@ def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> Fun
         return x * n
 
     def mor(u: FreeMor) -> FreeMor:
-        out = fmor_id(u.flavor, ())
-        for _ in range(n):
-            out = fmor_tensor(out, u)
-        return out
+        return fmor_join(u.flavor, u.source * n, u.target * n, [[(k * len(u.source), u.content) for k in range(n)]])
 
     @functools.cache
     def shuffle(lx: int, ly: int) -> Content:
-        x, y = ("x",) * lx, ("y",) * ly
-        out = fmor_id(flavor, x + y)
-        for k in range(2, n + 1):
-            # pull the last copy of x through the earlier copies of y
-            inner = fmor_tensor(
-                fmor_id(flavor, x * (k - 1)),
-                fmor_tensor(fmor_braiding(x, y * (k - 1), flavor), fmor_id(flavor, y)),
-            )
-            out = fmor_compose(fmor_tensor(out, fmor_id(flavor, x + y)), inner)
-        # labels (copy, side, index) are all distinct, so one check shows
-        # the content sends x^n y^n to (xy)^n for every x and y
         xs = [tuple((k, "x", i) for i in range(lx)) for k in range(n)]
         ys = [tuple((k, "y", i) for i in range(ly)) for k in range(n)]
-        FreeMor(flavor, sum(xs + ys, ()), sum(map(tuple.__add__, xs, ys), ()), out.content)
-        return out.content
+        # at copy k = n .. 2, pull the last copy of x through the earlier copies of y
+        rows = [[((k - 1) * lx, fmor_braiding(xs[0], ys[0] * (k - 1), flavor).content)] for k in range(n, 1, -1)]
+        # labels (copy, side, index) are all distinct, so one check shows
+        # the content sends x^n y^n to (xy)^n for every x and y
+        return FreeMor(*fmor_join(flavor, sum(xs + ys, ()), sum(map(tuple.__add__, xs, ys), ()), rows)).content
 
     def f2(x: Obj, y: Obj) -> FreeMor:
         content = shuffle(len(x), len(y))
@@ -138,12 +128,17 @@ def _nfold(n: int, gens: GenSet, flavor: Flavor, name: str | None = None) -> Fun
     return FunctorSpec(flavor, gens, gens, obj=obj, mor=mor, f2=f2, f0=f0, name=name or f"nfold({n})")
 
 
+def _copies(F: FunctorSpec) -> bool:
+    """Whether every content of F's axioms depends only on word lengths."""
+    return getattr(F.f2, "by_length", None) == (F.obj, F.mor, F.f0)
+
+
 def compose_specs(g: FunctorSpec, f: FunctorSpec) -> FunctorSpec:
     if f.target != g.source:
         raise BoundaryError(f"cannot compose {g.name} after {f.name}: generator sets differ")
     if f.flavor != g.flavor:
         raise FlavorError(f"cannot compose {g.name} after {f.name}: flavors differ")
-    return FunctorSpec(
+    spec = FunctorSpec(
         f.flavor,
         f.source,
         g.target,
@@ -153,6 +148,11 @@ def compose_specs(g: FunctorSpec, f: FunctorSpec) -> FunctorSpec:
         f0=lambda: fmor_compose(g.mor(f.f0()), g.f0()),
         name=f"{g.name}.{f.name}",
     )
+    if _copies(g) and _copies(f):
+        # a composite of copying functors copies: each of its pieces is built
+        # from its parts' pieces, whose contents depend only on word lengths
+        spec.f2.by_length = (spec.obj, spec.mor, spec.f0)  # type: ignore[attr-defined]
+    return spec
 
 
 # -- axiom checking -------------------------------------------------------------
@@ -191,31 +191,19 @@ def check_axioms(F: FunctorSpec, probe: list[Obj] | None = None) -> AxiomReport:
     failures: list[AxiomFailure] = []
     checked = 0
     # a copying functor's sides depend only on the witness's word lengths:
-    # decide each axiom once per length signature
-    by_length = getattr(F.f2, "by_length", None) == (F.obj, F.mor, F.f0)
+    # decide each axiom once per length signature, any other spec per witness
+    by_length = _copies(F)
     verdicts: dict[tuple, bool] = {}
-    # otherwise few pairs of differing braids recur: take their normal forms once
-    braid_verdicts: dict[tuple, bool] = {}
 
     def record(axiom: str, witness: tuple, sides: Callable[..., tuple[FreeMor, FreeMor]]) -> None:
         nonlocal checked
         checked += 1
-        if by_length:
-            signature = (axiom, *map(len, witness))
-            if equal := verdicts.get(signature):
-                return
-            left, right = sides(*witness)
-            if equal is None:
-                equal = verdicts[signature] = fmor_equal(left, right)
-        else:
-            left, right = sides(*witness)
-            if flavor != "B" or left.content == right.content:
-                equal = fmor_equal(left, right)
-            elif (key := (left.content, right.content)) in braid_verdicts:
-                check_parallel(left, right)
-                equal = braid_verdicts[key]
-            else:
-                equal = braid_verdicts[key] = fmor_equal(left, right)
+        key = (axiom, *map(len, witness)) if by_length else (axiom, witness)
+        if equal := verdicts.get(key):
+            return
+        left, right = sides(*witness)
+        if equal is None:
+            equal = verdicts[key] = fmor_equal(left, right)
         if not equal:
             failures.append(AxiomFailure(axiom, witness, left, right))
 

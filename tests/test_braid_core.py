@@ -20,7 +20,6 @@ from cohcheck.braid_core import (
     braid_id,
     braid_inverse,
     braid_perm,
-    braid_shift,
     braid_str,
     braid_tensor,
     cable,
@@ -184,7 +183,7 @@ def test_braid_records() -> None:
     assert {nf, normalize_braid(again)} == {nf}
     # the trusted builders give records, not plain tuples, equal to what
     # the validating constructor builds from the same parts
-    for u in (braid_compose(w, w), braid_tensor(w, w), braid_shift(w, 1, 5), braid_inverse(w)):
+    for u in (braid_compose(w, w), braid_tensor(w, w), braid_inverse(w)):
         assert type(u) is BraidWord and u == BraidWord(*u)
 
 

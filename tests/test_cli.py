@@ -663,17 +663,23 @@ def test_each_braid_word_factor_is_permuted_once(monkeypatch, source):
     assert words and len(calls) == len(words)
 
 
+_PF = (
+    "node n = phi(a b) ; phi(b a) ; [fa]\nnode m = [fa] ; phi(b a) ; phi(b a)\n"
+    "edge e : n -> m = braid(phi(b a) ; phi(b a), [fa]) . pf(outer={0}; inner={0}, id) ; id\ngoal g : e == e\n"
+)
+
+
 @pytest.mark.parametrize("source", [
     _tiny(_ROWS), _tiny(_ROWS, "symmetric"),
     _tiny("node n = [fa fb fa]\nedge e : n -> n = q^-1(a | b) ; id . id ; id . q(a | b) ; id . braid([fa], []) ; id ; id\n"
           "goal g : e == e\n", "monoidal"),
-], ids=["braided_rows", "symmetric_rows", "monoidal_rows"])
+    _tiny(_PF.format("s1")), _tiny(_PF.format("perm(2 1)"), "symmetric"),
+], ids=["braided_rows", "symmetric_rows", "monoidal_rows", "braided_pf", "symmetric_pf"])
 def test_each_edge_residue_is_joined_without_binary_calls(monkeypatch, source):
-    """Elaboration joins each row's residue, and each edge's rows, once: the
-    binary fmor_tensor and fmor_compose never run on a file without pf(..),
-    whose flattening is the only caller left on the way."""
+    """Elaboration joins each edge's rows once, and the flattening of a
+    pf(..) joins its inners and its cabled outer once: the binary
+    fmor_tensor and fmor_compose never run while a file is built."""
     sf = parse_source(source)
-    assert all(f[0] != "pf" for *_, ast in sf.edges for row in ast[1] for f in row[1])
     assert max(len(row[1]) for *_, ast in sf.edges for row in ast[1]) > 1
     calls = collections.Counter()
     for name in ("fmor_tensor", "fmor_compose"):

@@ -22,6 +22,7 @@ from cohcheck.free_cat import (
     fmor_equal,
     fmor_id,
     fmor_inverse,
+    fmor_join,
     fmor_of_braid,
     fmor_of_perm,
     fmor_tensor,
@@ -139,6 +140,8 @@ def test_trusted_constructors_match_validated(seed):
         fmor_id("X", ("a",))
     with pytest.raises(FlavorError):
         fmor_braiding(("a",), ("b",), "X")
+    with pytest.raises(FlavorError):
+        fmor_join("X", ("a",), ("a",), [])
 
 
 def test_flavor_s_content_is_a_plain_tuple():
@@ -414,6 +417,37 @@ def test_braiding_natural(data):
 @given(fmors())
 def test_shadow_forgets_braiding(u):
     assert underlying_permutation(permutation_shadow(u)) == underlying_permutation(u)
+
+
+@st.composite
+def _rows_and_fold(draw, flavor):
+    """Rows of (label offset, content) moves, each row a tensor of moves and
+    identity gaps across the width, with the binary fold that states them."""
+    fold = fmor_id(flavor, tuple(draw(st.lists(st.sampled_from("ab"), min_size=2, max_size=6))))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        labels, row, moves = fold.target, fmor_id(flavor, ()), []
+        while len(row.source) < len(labels):
+            off = len(row.source)
+            u = draw(fmors(flavor=flavor, source=labels[off : draw(st.integers(off + 1, len(labels)))]))
+            if draw(st.sampled_from((True, True, False))):
+                moves.append((off, u.content))
+            else:
+                u = fmor_id(flavor, u.source)
+            row = fmor_tensor(row, u)
+        rows.append(moves)
+        fold = fmor_compose(row, fold)
+    return rows, fold
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_join_is_the_fold_of_its_rows(flavor, data):
+    rows, fold = data.draw(_rows_and_fold(flavor))
+    joined = fmor_join(flavor, fold.source, fold.target, rows)
+    # the same record, so B's letters come in the fold's order
+    assert type(joined) is FreeMor and joined == fold
 
 
 # -- depth two ----------------------------------------------------------------

@@ -315,11 +315,19 @@ def test_mislabelling_obj_raises():
 
 
 @pytest.mark.parametrize("flavor", ["S", "B"])
-def test_composite_spec_is_checked_witness_by_witness(flavor):
-    D = make_builtin_spec("doubling", AB, flavor)
-    DD = compose_specs(D, D)
+@pytest.mark.parametrize("outer, inner", [("doubling", "doubling"), ("nfold(3)", "doubling")])
+def test_composite_spec_is_decided_by_length_signature(monkeypatch, flavor, outer, inner):
+    # a composite of copying functors copies, so each axiom is decided once
+    # per length signature and still reports every failing witness
+    G = compose_specs(make_builtin_spec(outer, AB, flavor), make_builtin_spec(inner, AB, flavor))
     probe = default_probe(AB)
-    assert check_axioms(DD, probe) == _report_by_every_check(DD, probe)
+    expected = _report_by_every_check(G, probe)
+    compared = []
+    equal = functor_eval.fmor_equal
+    monkeypatch.setattr(functor_eval, "fmor_equal", lambda u, v: compared.append(u) or equal(u, v))
+    assert check_axioms(G, probe) == expected
+    n = len({len(x) for x in probe})
+    assert len(compared) == n**3 + 2 * n + n**2
 
 
 def test_each_length_signature_is_built_once_unless_it_fails(monkeypatch):
@@ -359,15 +367,13 @@ def test_each_distinct_braid_pair_is_normalized_once(monkeypatch):
         return normalize(w)
 
     monkeypatch.setattr(braid_core, "normalize_braid", counted)
-    # the builtin spec, and one checked witness by witness
-    for G in (F, F._replace(f0=lambda: F.f0())):
-        checks = list(_every_check(G, probe))
-        expected = _report_by_every_check(G, probe)
-        differing = {(l.content, r.content) for _, _, l, r in checks if l.content != r.content}
-        assert len(differing) < sum(l.content != r.content for _, _, l, r in checks)
-        normalized.clear()
-        assert check_axioms(G, probe) == expected
-        assert 0 < len(normalized) <= 2 * len(differing)
+    checks = list(_every_check(F, probe))
+    expected = _report_by_every_check(F, probe)
+    differing = {(l.content, r.content) for _, _, l, r in checks if l.content != r.content}
+    assert len(differing) < sum(l.content != r.content for _, _, l, r in checks)
+    normalized.clear()
+    assert check_axioms(F, probe) == expected
+    assert 0 < len(normalized) <= 2 * len(differing)
 
 
 def test_repeated_braid_pair_is_still_checked_for_parallel():
