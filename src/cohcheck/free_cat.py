@@ -70,13 +70,19 @@ class GenSet(_GenSetFields):
 
 
 def _content_perm(flavor: Flavor, content: Content, n: int) -> Perm:
-    if flavor == "M":
+    """The permutation of a content of the flavor on n strands: nothing in
+    M, a permutation in S, a braid word in B. The one check of a content."""
+    if flavor == "M" and content is None:
         return identity_perm(n)
-    if flavor == "S" and type(content) is tuple:  # a BraidWord is a tuple too
+    if flavor == "S" and type(content) is tuple and len(content) == n and is_perm(content):  # not a BraidWord
         return content
-    if flavor == "B" and isinstance(content, BraidWord):
+    if flavor == "B" and isinstance(content, BraidWord) and content.n == n:
         return braid_perm(content)
-    raise StructureError(f"flavor {flavor} content expected, found {content!r}")
+    if flavor not in FLAVORS:
+        raise FlavorError(f"unknown flavor {flavor!r}")
+    raise StructureError({"M": "flavor M admits only identities",
+                          "S": "flavor S needs a permutation of the source length",
+                          "B": "flavor B needs a braid word on the source strands"}[flavor])
 
 
 class _FreeMorFields(NamedTuple):
@@ -103,18 +109,6 @@ class FreeMor(_FreeMorFields):
         if type(self.source) is not tuple or type(self.target) is not tuple:
             raise StructureError("source and target words must be tuples")
         n = len(self.source)
-        if self.flavor == "M":
-            if self.content is not None or self.source != self.target:
-                raise StructureError("flavor M admits only identities")
-            return
-        if self.flavor == "S":
-            if not (type(self.content) is tuple and len(self.content) == n and is_perm(self.content)):
-                raise StructureError("flavor S needs a permutation of the source length")
-        elif self.flavor == "B":
-            if not isinstance(self.content, BraidWord) or self.content.n != n:
-                raise StructureError("flavor B needs a braid word on the source strands")
-        else:
-            raise FlavorError(f"unknown flavor {self.flavor!r}")
         p = _content_perm(self.flavor, self.content, n)
         if len(self.target) != n or any(self.target[p[i]] != self.source[i] for i in range(n)):
             raise StructureError("target word is not the source permuted by the content")
@@ -135,22 +129,12 @@ def fmor_id(flavor: Flavor, x: tuple[Label, ...]) -> FreeMor:
     return tuple.__new__(FreeMor, (flavor, x, x, content))
 
 
-def fmor_of_perm(x: tuple[Label, ...], p: Perm) -> FreeMor:
-    """The target is built from p, so only x and p are checked."""
+def fmor_of(flavor: Flavor, x: tuple[Label, ...], content: Content) -> FreeMor:
+    """The morphism from x that carries content. The target is built from
+    the content, so only x and the content are checked."""
     if type(x) is not tuple:
         raise StructureError("the source word must be a tuple")
-    if not (type(p) is tuple and len(p) == len(x) and is_perm(p)):
-        raise StructureError("flavor S needs a permutation of the source length")
-    return tuple.__new__(FreeMor, ("S", x, tuple(permute(x, p)), p))
-
-
-def fmor_of_braid(x: tuple[Label, ...], w: BraidWord) -> FreeMor:
-    """The target is built from w, so only x and w's width are checked."""
-    if type(x) is not tuple:
-        raise StructureError("the source word must be a tuple")
-    if not isinstance(w, BraidWord) or w.n != len(x):
-        raise StructureError("flavor B needs a braid word on the source strands")
-    return tuple.__new__(FreeMor, ("B", x, tuple(permute(x, braid_perm(w))), w))
+    return tuple.__new__(FreeMor, (flavor, x, tuple(permute(x, _content_perm(flavor, content, len(x)))), content))
 
 
 def _check_flavors(u: FreeMor | FreeMor2, v: FreeMor | FreeMor2) -> None:
@@ -283,19 +267,10 @@ class FreeMor2(_FreeMor2Fields):
         m = len(source)
         if len(inners) != m or len(target) != m:
             raise StructureError("block counts of boundary and inner morphisms differ")
-        if flavor == "M":
-            if outer is not None:
-                raise StructureError("flavor M admits only identity outer content")
-        elif flavor == "S":
-            if not (type(outer) is tuple and len(outer) == m and is_perm(outer)):
-                raise StructureError("flavor S needs an outer permutation of the blocks")
-        elif flavor == "B":
-            if not isinstance(outer, BraidWord) or outer.n != m:
-                raise StructureError("flavor B needs an outer braid word on the blocks")
-        else:
-            raise FlavorError(f"unknown flavor {flavor!r}")
         p = _content_perm(flavor, outer, m)
         for i, inner in enumerate(inners):
+            if not isinstance(inner, FreeMor):
+                raise StructureError(f"inner morphism {i} is not a FreeMor")
             if inner.flavor != flavor:
                 raise FlavorError("inner morphism flavor differs from the outer flavor")
             if inner.source != source[i] or inner.target != target[p[i]]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from cohcheck.braid_core import parse_braid
 from cohcheck.diagram_check import Diagram, Edge, Goal
-from cohcheck.free_cat import GenSet, fmor_of_braid, fmor_of_perm
+from cohcheck.free_cat import GenSet, fmor_of
 from cohcheck.ualg import (
     FreeLetter,
     ObjMap,
@@ -43,8 +43,8 @@ def hexagon_diagram() -> Diagram:
         "t2": (PhiLetter(("a", "a", "a")),),
         "t3": (PhiLetter(("a", "a", "a")),),
     }
-    s2w = fmor_of_braid(("a", "a", "a"), parse_braid("s2", 3))
-    s1w = fmor_of_braid(("a", "a", "a"), parse_braid("s1", 3))
+    s2w = fmor_of("B", ("a", "a", "a"), parse_braid("s2", 3))
+    s1w = fmor_of("B", ("a", "a", "a"), parse_braid("s1", 3))
     edges = {
         "e1": Edge("e1", "s1", "s2", UTensor(UPhiQ((("a",), ("a",))), UId((FreeLetter("fa"),)))),
         "e2": Edge("e2", "s2", "s3", UBraiding((PhiLetter(("a", "a")),), (FreeLetter("fa"),))),
@@ -70,7 +70,7 @@ def naturality_diagram() -> Diagram:
         "t1": (PhiLetter(("a", "b")), PhiLetter(("c", "d"))),
         "t2": (PhiLetter(("a", "b", "c", "d")),),
     }
-    mid = fmor_of_braid(("a", "b", "c", "d"), parse_braid("s2", 4))
+    mid = fmor_of("B", ("a", "b", "c", "d"), parse_braid("s2", 4))
     edges = {
         "e1": Edge(
             "e1", "s1", "s2",
@@ -138,7 +138,7 @@ def cyclic_diagram() -> Diagram:
     abx4 = ("a", "b") * 4
 
     def word(src: tuple, text: str) -> Edge:
-        return fmor_of_braid(src, parse_braid(text, 8))
+        return fmor_of("B", src, parse_braid(text, 8))
 
     nodes = {
         "na": _fl(*a4b4), "nb": _fl(*a4b4),
@@ -164,7 +164,7 @@ def unequal_diagram() -> Diagram:
     aa = _fl("a", "a")
     nodes = {"n1": aa, "n2": aa}
     edges = {
-        "swap": Edge("swap", "n1", "n2", kappa_embed(fmor_of_perm(("a", "a"), (1, 0)))),
+        "swap": Edge("swap", "n1", "n2", kappa_embed(fmor_of("S", ("a", "a"), (1, 0)))),
         "stay": Edge("stay", "n1", "n2", UId(aa)),
     }
     goals = (Goal("diff", ("swap",), ("stay",)),)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from cohcheck.braid_core import BraidWord, braid_perm
-from cohcheck.free_cat import Flavor, FreeMor, FreeMor2, fmor_id, fmor_of_braid, fmor_of_perm
+from cohcheck.free_cat import Flavor, FreeMor, FreeMor2, fmor_id, fmor_of
 
 LABELS = ("a", "b")
 
@@ -26,7 +26,7 @@ def fmors(draw, flavor: Flavor | None = None, source: tuple[str, ...] | None = N
     if flavor == "M":
         return fmor_id("M", source)
     if flavor == "S":
-        return fmor_of_perm(source, tuple(draw(st.permutations(tuple(range(n))))))
+        return fmor_of("S", source, tuple(draw(st.permutations(tuple(range(n))))))
     if n >= 2:
         k = draw(st.integers(0, 6))
         letters = tuple(
@@ -34,7 +34,7 @@ def fmors(draw, flavor: Flavor | None = None, source: tuple[str, ...] | None = N
         )
     else:
         letters = ()
-    return fmor_of_braid(source, BraidWord(n, letters))
+    return fmor_of("B", source, BraidWord(n, letters))
 
 
 @st.composite

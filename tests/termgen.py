@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from cohcheck.braid_core import BraidWord, braid_perm
-from cohcheck.free_cat import Flavor, FreeMor, FreeMor2, fmor_id, fmor_of_braid, fmor_of_perm
+from cohcheck.free_cat import Flavor, FreeMor, FreeMor2, fmor_id, fmor_of
 from cohcheck.ualg import (
     FreeLetter,
     ObjMap,
@@ -40,14 +40,14 @@ def random_fmor(rng: random.Random, flavor: Flavor, source) -> FreeMor:
     if flavor == "S":
         p = list(range(n))
         rng.shuffle(p)
-        return fmor_of_perm(source, tuple(p))
+        return fmor_of("S", source, tuple(p))
     if n >= 2:
         letters = tuple(
             rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))
         )
     else:
         letters = ()
-    return fmor_of_braid(source, BraidWord(n, letters))
+    return fmor_of("B", source, BraidWord(n, letters))
 
 
 def random_fmor2(rng: random.Random, flavor: Flavor, blocks) -> FreeMor2:

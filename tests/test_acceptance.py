@@ -34,7 +34,7 @@ from cohcheck.diagram_check import (
     explain_goal,
     report_json,
 )
-from cohcheck.free_cat import GenSet, fmor_equal, fmor_of_perm, project_generator
+from cohcheck.free_cat import GenSet, fmor_equal, fmor_of, project_generator
 from cohcheck.functor_eval import check_axioms, lambda_eval, make_builtin_spec
 from cohcheck.ualg import (
     PhiLetter,
@@ -178,7 +178,7 @@ def test_08_structural_identity_suite():
         for labels in itertools.product("ab", repeat=n):
             seen: dict = {}
             for p in itertools.permutations(range(n)):
-                u = fmor_of_perm(labels, p)
+                u = fmor_of("S", labels, p)
                 key = (u.target, tuple(project_generator(u, g) for g in "ab"))
                 assert seen.setdefault(key, p) == p
 

@@ -17,7 +17,7 @@ from cohcheck.free_cat import (
     fmor_compose,
     fmor_equal,
     fmor_id,
-    fmor_of_perm,
+    fmor_of,
 )
 from cohcheck.ualg import (
     FreeLetter,
@@ -86,7 +86,7 @@ def test_unit_objects():
     assert phi_object((("a",), ("b",)), PHI) == (FreeLetter("a"), FreeLetter("b"))
     assert phi_object((), PHI) == ()
     assert uobj_dissolve(phi_object((("a",), (), ("b", "a")), PHI), PHI) == ("a", "b", "a")
-    swap = fmor_of_perm(("a", "b"), (1, 0))
+    swap = fmor_of("S", ("a", "b"), (1, 0))
     assert validate_umor(zeta(swap), PHI, "S") == ((PhiLetter(("a", "b")),), (PhiLetter(("b", "a")),))
     assert validate_umor(zeta_flat(swap), PHI, "S") == (
         (FreeLetter("a"), FreeLetter("b")),

@@ -23,8 +23,7 @@ from cohcheck.free_cat import (
     fmor_id,
     fmor_inverse,
     fmor_join,
-    fmor_of_braid,
-    fmor_of_perm,
+    fmor_of,
     fmor_tensor,
     permutation_shadow,
     project_generator,
@@ -97,7 +96,7 @@ def _validated(u):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_trusted_constructors_match_validated(seed):
-    # fmor_id, fmor_braiding, fmor_of_braid, fmor_compose, fmor_tensor,
+    # fmor_id, fmor_braiding, fmor_of, fmor_compose, fmor_tensor,
     # fmor_inverse, permutation_shadow, fmor2_shadow and flatten_mu skip
     # the records' checks: each result must be what the validating
     # constructor accepts from the same parts
@@ -128,14 +127,14 @@ def test_trusted_constructors_match_validated(seed):
             _validated(flatten_mu(u2))
         n = len(x)
         w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randint(0, 8)) if n > 1))
-        u = _validated(fmor_of_braid(x, w))
+        u = _validated(fmor_of("B", x, w))
         assert (u.flavor, u.source) == ("B", x)
         assert u.content is w
         _validated(fmor_inverse(u))
         _validated(permutation_shadow(u))
     for n in (2, 4):  # too few strands, and too many
         with pytest.raises(StructureError, match="braid word on the source strands"):
-            fmor_of_braid(("a", "b", "c"), BraidWord(n, (1,)))
+            fmor_of("B", ("a", "b", "c"), BraidWord(n, (1,)))
     with pytest.raises(FlavorError):
         fmor_id("X", ("a",))
     with pytest.raises(FlavorError):
@@ -151,7 +150,7 @@ def test_flavor_s_content_is_a_plain_tuple():
     with pytest.raises(StructureError, match="flavor S needs a permutation"):
         FreeMor("S", ab, ab, BraidWord(2, ()))
     inners = (fmor_id("S", ("a",)), fmor_id("S", ("b",)))
-    with pytest.raises(StructureError, match="flavor S needs an outer permutation"):
+    with pytest.raises(StructureError, match="flavor S needs a permutation of the source length"):
         FreeMor2("S", blocks, blocks, BraidWord(2, ()), inners)
     with pytest.raises(StructureError, match="flavor S needs a permutation"):
         FreeMor("S", ab, ab, [0, 1])
@@ -184,14 +183,15 @@ _INNERS = (fmor_id("S", ("a",)), fmor_id("S", ("b",)))
         lambda: FreeMor2("S", (["a"], ("b",)), _BLOCKS, (0, 1), _INNERS),
         lambda: FreeMor2("S", _BLOCKS, (("a",), ["b"]), (0, 1), _INNERS),
         lambda: FreeMor2("S", _BLOCKS, _BLOCKS, (0, 1), list(_INNERS)),
-        lambda: fmor_of_perm(["a", "b"], (1, 0)),
-        lambda: fmor_of_braid(["a", "b"], BraidWord(2, (1,))),
+        lambda: fmor_of("S", ["a", "b"], (1, 0)),
+        lambda: fmor_of("B", ["a", "b"], BraidWord(2, (1,))),
+        lambda: FreeMor2("S", (("a",),), (("a",),), (0,), (("S", ("a",), ("a",), (0,)),)),
     ],
     ids=[
         "perm-of-str", "perm-of-float", "outer-perm-of-float", "letter-str", "strands-str", "letter-float",
         "letters-list", "letters-int", "source-list", "target-list", "boundary-lists", "boundary-ints",
         "source2-list", "target2-list", "source-block-list", "target-block-list", "inners-list",
-        "perm-source-list", "braid-source-list",
+        "perm-source-list", "braid-source-list", "inner-tuple",
     ],
 )
 def test_wrong_element_types_are_structure_errors(build):
@@ -201,14 +201,33 @@ def test_wrong_element_types_are_structure_errors(build):
         build()
 
 
+_NEED_PERM = "flavor S needs a permutation of the source length"
+
+
 @pytest.mark.parametrize(
-    "p", [(0,), (0, 1, 2), (0, 0), (1, 2), [1, 0], (0, 1.0), BraidWord(2, (1,))],
-    ids=["short", "long", "repeat", "out-of-range", "list", "float", "braid-word"],
+    "flavor, content, error, message",
+    [("S", p, StructureError, _NEED_PERM) for p in [(0,), (0, 1, 2), (0, 0), (1, 2), [1, 0], (0, 1.0), BraidWord(2, (1,))]]
+    + [
+        ("B", BraidWord(3, (1,)), StructureError, "flavor B needs a braid word on the source strands"),
+        ("B", (1, 0), StructureError, "flavor B needs a braid word on the source strands"),
+        ("M", (0, 1), StructureError, "flavor M admits only identities"),
+        ("X", (1, 0), FlavorError, "unknown flavor 'X'"),
+    ],
+    ids=["short", "long", "repeat", "out-of-range", "list", "float", "braid-word",
+         "B-strands", "B-tuple", "M-content", "unknown-flavor"],
 )
-def test_fmor_of_perm_checks_its_permutation(p):
-    with pytest.raises(StructureError, match="flavor S needs a permutation of the source length"):
-        fmor_of_perm(_AB, p)
-    assert fmor_of_perm(_AB, (1, 0)) == FreeMor("S", _AB, ("b", "a"), (1, 0))
+def test_fmor_of_perm_checks_its_permutation(flavor, content, error, message):
+    # fmor_of, FreeMor, and FreeMor2's outer over one-letter blocks make
+    # the one content check: each raises the same error for a bad content
+    for build in (
+        lambda: fmor_of(flavor, _AB, content),
+        lambda: FreeMor(flavor, _AB, _AB, content),
+        lambda: FreeMor2(flavor, _BLOCKS, _BLOCKS, content, _INNERS),
+    ):
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message
+    assert fmor_of("S", _AB, (1, 0)) == FreeMor("S", _AB, ("b", "a"), (1, 0))
 
 
 def test_records_are_frozen():
@@ -285,23 +304,23 @@ def test_braiding_rejected_in_m():
 
 def test_equal_braids_on_six_strands():
     x = ("a", "b", "c", "a", "b", "c")
-    u = fmor_of_braid(x, parse_braid("s3 s4 s2", 6))
-    v = fmor_of_braid(x, parse_braid("s3 s2 s4", 6))
+    u = fmor_of("B", x, parse_braid("s3 s4 s2", 6))
+    v = fmor_of("B", x, parse_braid("s3 s2 s4", 6))
     assert u.target == v.target
     assert fmor_equal(u, v)
 
 
 def test_unequal_braids_equal_permutations():
     x = ("a", "b", "a", "b")
-    u = fmor_of_braid(x, parse_braid("s3 s1 s2", 4))
-    v = fmor_of_braid(x, parse_braid("s2 s2 s1 s3 s2", 4))
+    u = fmor_of("B", x, parse_braid("s3 s1 s2", 4))
+    v = fmor_of("B", x, parse_braid("s2 s2 s1 s3 s2", 4))
     assert u.target == v.target
     assert not fmor_equal(u, v)
     assert fmor_equal(permutation_shadow(u), permutation_shadow(v))
 
 
 def test_inverse_cancels():
-    u = fmor_of_braid(("a", "b", "a"), parse_braid("s1 s2^-1 s1", 3))
+    u = fmor_of("B", ("a", "b", "a"), parse_braid("s1 s2^-1 s1", 3))
     assert fmor_equal(fmor_compose(u, fmor_inverse(u)), fmor_id("B", u.target))
     assert fmor_equal(fmor_compose(fmor_inverse(u), u), fmor_id("B", u.source))
 
@@ -316,7 +335,7 @@ def test_projection_of_identity():
 
 
 def test_projection_of_swapped_as():
-    u = fmor_of_perm(("a", "b", "a", "b"), (2, 1, 0, 3))
+    u = fmor_of("S", ("a", "b", "a", "b"), (2, 1, 0, 3))
     assert project_generator(u, "a") == (1, 0)
     assert project_generator(u, "b") == (0, 1)
 
@@ -324,7 +343,7 @@ def test_projection_of_swapped_as():
 def test_projection_cyclic_on_eight():
     # interleaving a^4 b^4 into (ab)^4 cycles each label class
     p = (6, 0, 2, 4, 7, 1, 3, 5)
-    u = fmor_of_perm(("a", "a", "a", "a", "b", "b", "b", "b"), p)
+    u = fmor_of("S", ("a", "a", "a", "a", "b", "b", "b", "b"), p)
     assert u.target == ("a", "b", "a", "b", "a", "b", "a", "b")
     assert project_generator(u, "a") == (3, 0, 1, 2)
     assert perm_one_line(project_generator(u, "a")) == [4, 1, 2, 3]
@@ -356,7 +375,7 @@ def test_projections_determine_permutation():
         for x in itertools.product("ab", repeat=length):
             seen = {}
             for p in _label_preserving(x):
-                u = fmor_of_perm(x, p)
+                u = fmor_of("S", x, p)
                 key = (project_generator(u, "a"), project_generator(u, "b"))
                 assert key not in seen or seen[key] == p
                 seen[key] = p
@@ -475,7 +494,7 @@ def test_flatten_inner_block_sum():
         (("a", "a"), ("b",)),
         (("a", "a"), ("b",)),
         BraidWord(2, ()),
-        (fmor_of_braid(("a", "a"), BraidWord(2, (1,))), fmor_id("B", ("b",))),
+        (fmor_of("B", ("a", "a"), BraidWord(2, (1,))), fmor_id("B", ("b",))),
     )
     assert flatten_mu(u).content.letters == (1,)
 

@@ -18,7 +18,7 @@ from cohcheck.free_cat import (
     fmor_equal,
     fmor_id,
     fmor_inverse,
-    fmor_of_braid,
+    fmor_of,
     fmor_tensor,
 )
 from cohcheck.functor_eval import (
@@ -283,7 +283,7 @@ def _twist_on_c(F):
         c = F.f2(x, y)
         if "c" not in x + y or len(c.source) < 2:
             return c
-        return fmor_compose(c, fmor_of_braid(c.source, parse_braid("s1 s1", len(c.source))))
+        return fmor_compose(c, fmor_of("B", c.source, parse_braid("s1 s1", len(c.source))))
 
     return f2
 
@@ -442,8 +442,8 @@ def _hexagon_lift():
     e3 = UPhiQ((("a",), ("a", "a")))
     left = UCompose(e3, UCompose(e2, e1))
     e4 = UPhiQ((("a",), ("a",), ("a",)))
-    e5 = zeta(fmor_of_braid(("a", "a", "a"), parse_braid("s2", 3)))
-    e6 = zeta(fmor_of_braid(("a", "a", "a"), parse_braid("s1", 3)))
+    e5 = zeta(fmor_of("B", ("a", "a", "a"), parse_braid("s2", 3)))
+    e6 = zeta(fmor_of("B", ("a", "a", "a"), parse_braid("s1", 3)))
     right = UCompose(e6, UCompose(e5, e4))
     return left, right
 

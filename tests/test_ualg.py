@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cohcheck.braid_core import block_braid, braid_equal, parse_braid
 from cohcheck.errors import BoundaryError, FlavorError, StructureError, UnknownName, UnsupportedOp
-from cohcheck.free_cat import GenSet, fmor_compose, fmor_equal, fmor_id, fmor_of_braid, fmor_tensor, permutation_shadow
+from cohcheck.free_cat import GenSet, fmor_compose, fmor_equal, fmor_id, fmor_of, fmor_tensor, permutation_shadow
 from cohcheck.functor_eval import lambda_eval, make_builtin_spec
 from cohcheck.ualg import (
     FreeLetter,
@@ -201,7 +201,7 @@ def test_phi_tilde_monoidal_constraint():
 
 
 def test_phi_tilde_morphism_dissolves_through_map():
-    u = fmor_of_braid(("a", "b"), parse_braid("s1", 2))
+    u = fmor_of("B", ("a", "b"), parse_braid("s1", 2))
     t = zeta(u)
     d = dissolve(t, PHI_FOLD, "B")
     assert d.source == ("f", "f")
@@ -234,8 +234,8 @@ def test_hexagon_lift_commutes():
     left = UCompose(e3, UCompose(e2, e1))
 
     e4 = UPhiQ((("a",), ("a",), ("a",)))
-    e5 = zeta(fmor_of_braid(("a", "a", "a"), parse_braid("s2", 3)))
-    e6 = zeta(fmor_of_braid(("a", "a", "a"), parse_braid("s1", 3)))
+    e5 = zeta(fmor_of("B", ("a", "a", "a"), parse_braid("s2", 3)))
+    e6 = zeta(fmor_of("B", ("a", "a", "a"), parse_braid("s1", 3)))
     right = UCompose(e6, UCompose(e5, e4))
 
     assert umor_equal(left, right, PHI_A, "B")
@@ -254,7 +254,7 @@ def test_middle_four_lift_commutes():
 
     e4 = UTensor(UPhiQ((("a",), ("b",))), UPhiQ((("c",), ("d",))))
     e5 = UPhiQ((("a", "b"), ("c", "d")))
-    e6 = zeta(fmor_of_braid(("a", "b", "c", "d"), parse_braid("s2", 4)))
+    e6 = zeta(fmor_of("B", ("a", "b", "c", "d"), parse_braid("s2", 4)))
     right = UCompose(e6, UCompose(e5, e4))
 
     assert umor_equal(left, right, PHI_4, "B")
