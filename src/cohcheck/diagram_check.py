@@ -5,7 +5,7 @@ named edges carrying lift terms between them. Each edge's residue, its term
 dissolved, is kept on the diagram: elaboration hands over a source file's,
 and validation dissolves and checks any other edge once. A goal is a parallel
 pair of edge paths; since dissolution is a strict monoidal functor, each side's
-residue is the composite of its edges' residues, and checking compares the two.
+residue is one join of its edges' residues, and checking compares the two.
 In the braided flavor the verdict is tri-state, because a pair of composites
 can disagree as braids while still agreeing at the permutation level; the
 symmetric and plain flavors collapse to a binary verdict.
@@ -13,12 +13,11 @@ symmetric and plain flavors collapse to a binary verdict.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import NamedTuple, Sequence
 
 from .braid_core import Perm, braid_str, normalize_braid, perm_one_line
 from .errors import BoundaryError, PathError, UnknownName, UnsupportedOp
-from .free_cat import Flavor, FreeMor, Gen, Obj, display_braid, fmor_compose, permutation_shadow, project_generator
+from .free_cat import Flavor, FreeMor, Gen, Obj, display_braid, fmor_join, permutation_shadow, project_generator
 from .functor_eval import FunctorSpec, check_interp
 from .ualg import ObjMap, UCompose, UId, UMor, UObj, _dissolution, format_uobj, umor_shadow
 
@@ -149,11 +148,12 @@ class _Residue(NamedTuple):
 
 
 def dissolve_path(d: Diagram, path: Sequence[str]) -> FreeMor:
-    """The dissolved composite of a nonempty path: its edges' residues
-    composed. Dissolution is a strict monoidal functor, so this is the
-    dissolution of compose_path(d, path)."""
+    """The dissolution of compose_path(d, path), a nonempty path: one join,
+    linear in the path, of its edges' residues in the order they apply. The
+    join leaves its boundary unchecked; path_endpoints checks every junction."""
     path_endpoints(d, path)
-    return reduce(fmor_compose, (_edge_residue(d, d.edges[name]) for name in path))
+    applied = [_edge_residue(d, d.edges[name]) for name in reversed(path)]
+    return fmor_join(d.flavor, applied[0].source, applied[-1].target, [[(0, u.content)] for u in applied])
 
 
 def _residue(d: Diagram, path: Sequence[str]) -> _Residue:

@@ -170,7 +170,10 @@ def _join_perms(n: int, rows: list[list[tuple[int, Perm]]]) -> Perm:
 
 
 def _join_braids(n: int, rows: list[list[tuple[int, BraidWord]]]) -> BraidWord:
-    word = (l + off if l > 0 else l - off for moves in reversed(rows) for off, w in moves for l in w.letters)
+    word: list[int] = []
+    for moves in reversed(rows):
+        for off, w in moves:  # a move at offset 0 is copied whole, as concatenation would
+            word += [l + off if l > 0 else l - off for l in w.letters] if off else w.letters
     return tuple.__new__(BraidWord, (n, tuple(word)))
 
 

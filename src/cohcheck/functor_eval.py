@@ -35,6 +35,7 @@ from .free_cat import (
     FreeMor2,
     GenSet,
     Obj,
+    concat_blocks,
     flatten_mu,
     fmor_braiding,
     fmor_compose,
@@ -241,16 +242,12 @@ def check_axioms(F: FunctorSpec, probe: list[Obj] | None = None) -> AxiomReport:
 
 
 def f_bullet(F: FunctorSpec, blocks: tuple[Obj, ...]) -> FreeMor:
-    """The n-ary constraint: F(w1);...;F(wm) -> F(w1 ... wm), folded from
-    f2 left to right, with f0 for no blocks."""
+    """The n-ary constraint: F(w1);...;F(wm) -> F(w1 ... wm), with f0 for no
+    blocks. One join of f2 folded from the left: row k is f2(w1 ... wk, wk+1)."""
     if not blocks:
         return F.f0()
-    acc = fmor_id(F.flavor, F.obj(blocks[0]))
-    done = blocks[0]
-    for w in blocks[1:]:
-        acc = fmor_compose(F.f2(done, w), fmor_tensor(acc, fmor_id(F.flavor, F.obj(w))))
-        done = done + w
-    return acc
+    rows = [[(0, F.f2(done, w).content)] for done, w in zip(itertools.accumulate(blocks), blocks[1:])]
+    return fmor_join(F.flavor, concat_blocks(map(F.obj, blocks)), F.obj(concat_blocks(blocks)), rows)
 
 
 def check_interp(F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap) -> None:
@@ -276,10 +273,7 @@ def check_interp(F: FunctorSpec, interp: Mapping[str, Obj], phi: ObjMap) -> None
 
 
 def uobj_lambda(x: UObj, F: FunctorSpec, interp: Mapping[str, Obj]) -> Obj:
-    out: tuple[str, ...] = ()
-    for letter in x:
-        out = out + (tuple(interp[letter.name]) if isinstance(letter, FreeLetter) else F.obj(letter.word))
-    return out
+    return concat_blocks(tuple(interp[l.name]) if isinstance(l, FreeLetter) else F.obj(l.word) for l in x)
 
 
 def lambda_eval(

@@ -681,19 +681,46 @@ def test_each_edge_residue_is_joined_without_binary_calls(monkeypatch, source):
     fmor_tensor and fmor_compose never run while a file is built."""
     sf = parse_source(source)
     assert max(len(row[1]) for *_, ast in sf.edges for row in ast[1]) > 1
-    calls = collections.Counter()
-    for name in ("fmor_tensor", "fmor_compose"):
-        binary = getattr(cohcheck.free_cat, name)
-
-        def counting(*args, name=name, binary=binary):
-            calls[name] += 1
-            return binary(*args)
-
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, name, None) is binary:
-                monkeypatch.setattr(mod, name, counting)
+    calls = _count_free_cat_calls(monkeypatch, ("fmor_tensor", "fmor_compose"))
     build_diagram(sf)
     assert calls == collections.Counter()
+
+
+def _count_free_cat_calls(monkeypatch, names) -> collections.Counter:
+    """Count calls of the named free_cat functions, wrapped in every
+    cohcheck module that imported them."""
+    calls = collections.Counter()
+    for name in names:
+        original = getattr(cohcheck.free_cat, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+_PATHS = (
+    "node n = phi(a b) ; [fa]\nnode m = [fa fb fa]\n"
+    "edge d : n -> m = q^-1(a | b) ; id\nedge u : m -> n = q(a | b) ; id\nedge w : m -> m = {}\n"
+    "goal g : w . d . u . d == d . u . w . w . d\n"
+)
+
+
+@pytest.mark.parametrize("flavor, w", [("braided", "s1 s2 s1^-1"), ("symmetric", "perm(3 2 1)"), ("monoidal", "id")])
+def test_each_goal_side_is_one_join(monkeypatch, flavor, w):
+    """Each goal side's residue is one fmor_join of its edges' residues:
+    the binary fmor_compose and fmor_tensor never run while a goal of
+    paths of 4 and 5 edges is explained."""
+    d = build_diagram(parse_source(_tiny(_PATHS.format(w), flavor)))
+    (goal,) = d.goals
+    calls = _count_free_cat_calls(monkeypatch, ("fmor_tensor", "fmor_compose", "fmor_join"))
+    report = explain_goal(d, goal)
+    assert calls == collections.Counter(fmor_join=2)
+    assert report.verdict == (EQUAL if flavor == "monoidal" else NOT_EQUAL)  # one w against two
 
 
 def test_check_deep_edge(tmp_path):

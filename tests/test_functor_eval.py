@@ -424,6 +424,37 @@ def test_fold_three_blocks_boundary():
     assert c.target == ("a", "b", "a", "a", "b", "a")
 
 
+def _binary_fold(F: FunctorSpec, blocks):
+    """The n-ary constraint as a fold of binary calls: f2 left to right,
+    each after the constraint so far tensored with an identity."""
+    if not blocks:
+        return F.f0()
+    acc, done = fmor_id(F.flavor, F.obj(blocks[0])), blocks[0]
+    for w in blocks[1:]:
+        acc = fmor_compose(F.f2(done, w), fmor_tensor(acc, fmor_id(F.flavor, F.obj(w))))
+        done = done + w
+    return acc
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_builtin_spec("identity", AB, "M"),
+        lambda: make_builtin_spec("doubling", AB, "S"),
+        lambda: make_builtin_spec("doubling", AB, "B"),
+        lambda: compose_specs(make_builtin_spec("doubling", AB, "B"), make_builtin_spec("nfold(3)", AB, "B")),
+    ],
+    ids=["identity-M", "doubling-S", "doubling-B", "doubling.nfold(3)-B"],
+)
+def test_fold_matches_the_binary_fold(make):
+    F = make()
+    for m in range(5):
+        for blocks in itertools.product([(), ("a",), ("b", "a")], repeat=m):
+            joined = f_bullet(F, blocks)
+            assert joined == _binary_fold(F, blocks), blocks
+            assert FreeMor(*joined) == joined  # its unchecked boundary passes the check
+
+
 # -- evaluation -----------------------------------------------------------------
 
 

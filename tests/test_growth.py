@@ -1,0 +1,82 @@
+"""Growth canaries: families of generated inputs at sizes k, 2k and 4k.
+
+A family asserts how deterministic counts grow, never times. The count is
+the letters handed to the content builders (braid_compose, fmor_join and
+normalize_braid), summed over every call while a file is parsed, built and
+its goals explained. Each builder is wrapped in every cohcheck module that
+imported it. A linear family passes when each doubling multiplies every
+count by at most LINEAR.
+"""
+
+from __future__ import annotations
+
+import collections
+import sys
+
+import pytest
+
+import cohcheck.braid_core
+import cohcheck.free_cat
+from cohcheck.braid_core import BraidWord
+from cohcheck.cli import build_diagram, parse_source
+from cohcheck.diagram_check import explain_goal
+
+LINEAR = 2.3
+
+
+def _letters(content) -> int:
+    """A content's length: letters of a braid, entries of a permutation."""
+    if isinstance(content, BraidWord):
+        return len(content.letters)
+    return 0 if content is None else len(content)
+
+
+# each builder, its home module, and the letters one call is handed
+BUILDERS = {
+    "braid_compose": (cohcheck.braid_core, lambda u, v: len(u.letters) + len(v.letters)),
+    "fmor_join": (cohcheck.free_cat, lambda flavor, source, target, rows: sum(_letters(c) for m in rows for _, c in m)),
+    "normalize_braid": (cohcheck.braid_core, lambda w: len(w.letters)),
+}
+
+
+def _letters_handed(monkeypatch, source: str) -> collections.Counter:
+    handed = collections.Counter()
+    with monkeypatch.context() as patch:
+        for name, (home, size) in BUILDERS.items():
+            original = getattr(home, name)
+
+            def counting(*args, name=name, original=original, size=size):
+                handed[name] += size(*args)
+                return original(*args)
+
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, name, None) is original:
+                    patch.setattr(mod, name, counting)
+        d = build_diagram(parse_source(source))
+        for g in d.goals:
+            explain_goal(d, g)
+    return handed
+
+
+# one 40-letter edge on 3 strands
+WORD = " ".join(("s1", "s2", "s1^-1", "s2", "s2^-1")[i % 5] for i in range(40))
+
+
+def _goal_path(flavor: str, k: int) -> str:
+    """A goal both of whose sides are k copies of the one edge."""
+    path = " . ".join(["e"] * k)
+    return (
+        f"flavor {flavor}\ngens A = {{ a }}\ngens A2 = {{ fa }}\nmap phi : A -> A2 {{ a -> fa }}\n"
+        f"node n = [fa fa fa]\nedge e : n -> n = {WORD}\ngoal g : {path} == {path}\n"
+    )
+
+
+@pytest.mark.parametrize("flavor", ["braided", "symmetric"])
+def test_goal_paths_are_linear(monkeypatch, flavor):
+    k = 50
+    counts = [_letters_handed(monkeypatch, _goal_path(flavor, size)) for size in (k, 2 * k, 4 * k)]
+    # the counters see the path: both sides' letters, or strands in flavor S
+    assert sum(counts[0].values()) >= 2 * k * (40 if flavor == "braided" else 3)
+    for small, large in zip(counts, counts[1:]):
+        for name in BUILDERS:
+            assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
