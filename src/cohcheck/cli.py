@@ -497,12 +497,6 @@ def _elab_obj(ast: ObjAst, env: _Env) -> tuple[ULetter, ...]:
     return tuple(raw)
 
 
-def _take(letters: tuple[ULetter, ...], pos: int, count: int, what: str, env: _Env) -> tuple[ULetter, ...]:
-    if len(letters) - pos < count:
-        raise ElabError(f"{what} needs {count} letters, {len(letters) - pos} left", env.span)
-    return letters[pos : pos + count]
-
-
 def _free_labels(chunk: Sequence[ULetter], env: _Env) -> tuple[str, ...]:
     """The plain labels of a chunk. Its letters were name-checked when they
     were elaborated, so only a formed letter not of length one is faulty."""
@@ -545,89 +539,96 @@ def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> tuple[Fre
     return tuple.__new__(FreeMor, (env.flavor, x, tuple(permute(x, p)), content)), p
 
 
-def _elab_factor(
-    f: tuple, letters: tuple[ULetter, ...], pos: int, final: bool, env: _Env
-) -> tuple[object, tuple[ULetter, ...], Sequence[ULetter], int, Content]:
-    """The factor's term, the chunk it consumes from pos, its target letters,
-    and the width and content of its move on the chunk's labels; the content
-    is None for an identity (id, q, q^-1, an empty word, any factor in M)."""
+def _take_factor(f: tuple, letters: tuple[ULetter, ...], pos: int, final: bool, env: _Env) -> tuple[ULetter, ...]:
+    """The chunk a factor consumes from pos, after every check that reads
+    none of its letters: the flavor of a word or perm(..), the source names
+    of q and q^-1, the object names of braid(X, Y), and the width. The last
+    factor of a row, if it is id or a braid word, takes the rest."""
+    kind, rest = f[0], len(letters) - pos
+    if kind == "id":
+        count = rest if final else 1
+    elif kind in ("word", "perm"):
+        _check_flavor(f, env)
+        count = len(f[1]) if kind == "perm" else (max(map(abs, f[1])) + 1 if f[1] else 0)
+        if kind == "word" and final:
+            if rest < count:
+                raise ElabError(f"word needs {count} strands, {rest} left", env.span)
+            count = rest
+    elif kind in ("q", "qinv"):
+        unknown = [n for w in f[1] for n in w if n not in env.phi.source]
+        if unknown:
+            raise ElabError(f"{unknown[0]!r} is not a generator of {env.phi.source.name}", env.span)
+        count = len(f[1]) if kind == "q" else 1
+    elif kind == "pf":
+        count = len(f[2])
+    elif kind == "braid":
+        count = len(_elab_obj(f[1], env)) + len(_elab_obj(f[2], env))
+    else:
+        raise ElabError(f"unknown factor {kind!r}", env.span)
+    if rest < count:
+        what = {"word": "braid word", "qinv": "q^-1"}.get(kind, kind)
+        raise ElabError(f"{what} needs {count} letters, {rest} left", env.span)
+    return letters[pos : pos + count]
+
+
+def _elab_factor(f: tuple, chunk: tuple[ULetter, ...], env: _Env) -> tuple[object, tuple[ULetter, ...], int, Content]:
+    """A factor on the chunk _take_factor gave it, a result that depends on
+    nothing else: its term, its target letters, and the width and content
+    of its move on the chunk's labels; the content is None for an identity
+    (id, q, q^-1, an empty word, any factor in M)."""
     phi = env.phi
-    if f[0] == "id":
-        chunk = _take(letters, pos, len(letters) - pos if final else 1, "id", env)
-        return UId(normalize_uobj(chunk, phi)), chunk, chunk, len(uobj_dissolve(chunk, phi)), None
+    if f[0] == "id" or f[0] == "word" and not f[1]:
+        return UId(normalize_uobj(chunk, phi)), chunk, len(uobj_dissolve(chunk, phi)), None
 
     if f[0] in ("word", "perm"):
-        _check_flavor(f, env)
-        if f[0] == "perm":
-            chunk = _take(letters, pos, len(f[1]), "perm", env)
-        else:
-            min_width = max(map(abs, f[1])) + 1 if f[1] else 0
-            width = len(letters) - pos if final else min_width
-            if width < min_width:
-                raise ElabError(f"word needs {min_width} strands, {width} left", env.span)
-            chunk = _take(letters, pos, width, "braid word", env)
-            if not f[1]:
-                return UId(normalize_uobj(chunk, phi)), chunk, chunk, len(uobj_dissolve(chunk, phi)), None
         u, p = _free_mor(f, _free_labels(chunk, env), env, "")
-        return UFree(u), chunk, permute(chunk, p), len(chunk), u.content
+        return UFree(u), tuple(permute(chunk, p)), len(chunk), u.content
 
     if f[0] in ("q", "qinv"):
         blocks = f[1]
-        for w in blocks:
-            for n in w:
-                if n not in phi.source:
-                    raise ElabError(f"{n!r} is not a generator of {phi.source.name}", env.span)
         merged = tuple(n for w in blocks for n in w)
         if f[0] == "q":
-            chunk = _take(letters, pos, len(blocks), "q", env)
             for w, letter in zip(blocks, chunk):
                 if not _letter_matches_block(letter, w, env):
                     raise ElabError(
                         f"{format_uobj((letter,))} does not match the block ({' '.join(w)})", env.span
                     )
-            return UPhiQ(blocks), chunk, (PhiLetter(merged),), len(merged), None
-        chunk = _take(letters, pos, 1, "q^-1", env)
+            return UPhiQ(blocks), (PhiLetter(merged),), len(merged), None
         if not _letter_matches_block(chunk[0], merged, env):
             raise ElabError(
                 f"{format_uobj(chunk)} does not match the merged block ({' '.join(merged)})", env.span
             )
-        return UPhiQInv(blocks), chunk, [PhiLetter(w) for w in blocks], len(merged), None
+        return UPhiQInv(blocks), tuple(PhiLetter(w) for w in blocks), len(merged), None
 
     if f[0] == "pf":
-        inners_ast = f[2]
-        chunk = _take(letters, pos, len(inners_ast), "pf", env)
         blocks = []
         for letter in chunk:
             if not isinstance(letter, PhiLetter):
                 raise ElabError(f"pf expects formed letters, found {format_uobj((letter,))}", env.span)
             blocks.append(letter.word)
-        inners = tuple(_free_mor(g, w, env, "inner")[0] for g, w in zip(inners_ast, blocks))
+        inners = tuple(_free_mor(g, w, env, "inner")[0] for g, w in zip(f[2], blocks))
         outer = _free_mor(f[1], tuple(u.target for u in inners), env, "outer")[0]
-        m2 = FreeMor2(env.flavor, tuple(blocks), outer.target, outer.content, inners)
+        # valid: the inners were built on the blocks and the outer on their targets
+        m2 = tuple.__new__(FreeMor2, (env.flavor, tuple(blocks), outer.target, outer.content, inners))
         u = flatten_mu(m2)
-        return UPhiFree(m2), chunk, [PhiLetter(w) for w in m2.target], len(u.source), u.content
+        return UPhiFree(m2), tuple(PhiLetter(w) for w in m2.target), len(u.source), u.content
 
-    if f[0] == "braid":
-        xraw = _elab_obj(f[1], env)
-        yraw = _elab_obj(f[2], env)
-        k = len(xraw)
-        chunk = _take(letters, pos, k + len(yraw), "braid", env)
-        got_x, got_y = normalize_uobj(chunk[:k], phi), normalize_uobj(chunk[k:], phi)
-        x, y = normalize_uobj(xraw, phi), normalize_uobj(yraw, phi)
-        if (got_x, got_y) != (x, y):
-            raise ElabError(
-                f"braid arguments {format_uobj(x)} ; {format_uobj(y)} do not match the "
-                f"source letters {format_uobj(got_x)} ; {format_uobj(got_y)}", env.span
-            )
-        m, n = len(uobj_dissolve(x, phi)), len(uobj_dissolve(y, phi))
-        if env.flavor == "M":
-            if x and y:
-                raise ElabError("the plain flavor has no braiding", env.span)
-            return UId(x + y), chunk, chunk, m + n, None
-        content = (block_perm if env.flavor == "S" else block_braid)(m, n)
-        return UBraiding(x, y), chunk, chunk[k:] + chunk[:k], m + n, content
-
-    raise ElabError(f"unknown factor {f[0]!r}", env.span)
+    xraw, yraw = _elab_obj(f[1], env), _elab_obj(f[2], env)  # braid(X, Y)
+    k = len(xraw)
+    got_x, got_y = normalize_uobj(chunk[:k], phi), normalize_uobj(chunk[k:], phi)
+    x, y = normalize_uobj(xraw, phi), normalize_uobj(yraw, phi)
+    if (got_x, got_y) != (x, y):
+        raise ElabError(
+            f"braid arguments {format_uobj(x)} ; {format_uobj(y)} do not match the "
+            f"source letters {format_uobj(got_x)} ; {format_uobj(got_y)}", env.span
+        )
+    m, n = len(uobj_dissolve(x, phi)), len(uobj_dissolve(y, phi))
+    if env.flavor == "M":
+        if x and y:
+            raise ElabError("the plain flavor has no braiding", env.span)
+        return UId(x + y), chunk, m + n, None
+    content = (block_perm if env.flavor == "S" else block_braid)(m, n)
+    return UBraiding(x, y), chunk[k:] + chunk[:k], m + n, content
 
 
 def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> bool:
@@ -638,16 +639,23 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
     return False
 
 
-def _elab_mor(ast: MorAst, raw: tuple[ULetter, ...], env: _Env) -> tuple[object, FreeMor, tuple[ULetter, ...]]:
+def _elab_mor(
+    ast: MorAst, raw: tuple[ULetter, ...], env: _Env, builds: dict
+) -> tuple[object, FreeMor, tuple[ULetter, ...]]:
     """The term, its residue and its target letters. The residue, the term's
     dissolution, is one fmor_join of the rows: each factor's content goes at
     its label offset, and the source and target are the edge's letters
-    dissolved."""
+    dissolved. builds maps each factor and chunk to its build; a build that
+    raises stores nothing."""
     letters, composite, rows = raw, None, []
     for row in reversed(ast[1]):
         pos, off, terms, tgt_letters, moves = 0, 0, [], [], []
         for idx, f in enumerate(row[1]):
-            t, chunk, t_letters, width, content = _elab_factor(f, letters, pos, idx == len(row[1]) - 1, env)
+            chunk = _take_factor(f, letters, pos, idx == len(row[1]) - 1, env)
+            build = builds.get((f, chunk))
+            if build is None:
+                build = builds[f, chunk] = _elab_factor(f, chunk, env)
+            t, t_letters, width, content = build
             if content is not None:
                 moves.append((off, content))
             pos += len(chunk)
@@ -686,9 +694,10 @@ def build_diagram(sf: SourceFile) -> Diagram:
         nodes[name] = normalize_uobj(raw_nodes[name], phi)
 
     residues: dict[str, tuple[Edge, FreeMor]] = {}  # each edge with its dissolved term
+    builds: dict = {}  # (factor, chunk) -> its build, for every edge of this file
     for name, esrc, etgt, ast in sf.edges:
         env = _Env(phi, sf.flavor, mapname, sf.spans.get(("edge", name)))
-        term, residue, raw_tgt = _elab_mor(ast, raw_nodes[esrc], env)
+        term, residue, raw_tgt = _elab_mor(ast, raw_nodes[esrc], env, builds)
         if normalize_uobj(raw_tgt, phi) != nodes[etgt]:
             raise ElabError(
                 f"edge {name} ends at {format_uobj(normalize_uobj(raw_tgt, phi))}, "

@@ -61,7 +61,8 @@ class _ObjMapFields(NamedTuple):
 class ObjMap(_ObjMapFields):
     """A total map between generator sets, one image per source; a call
     checks the pairs. It keeps the images in a dict and memoizes the normal
-    form of each letter, in attributes outside equality, hashing and repr."""
+    form and the labels of each letter, in attributes outside equality,
+    hashing and repr."""
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
 
     def __new__(cls, source: GenSet, target: GenSet, pairs: tuple[tuple[str, str], ...]) -> ObjMap:
@@ -80,6 +81,7 @@ class ObjMap(_ObjMapFields):
         self = tuple.__new__(cls, (source, target, pairs))
         self.images: dict[str, str] = images
         self.letters: dict[ULetter, UObj] = {}
+        self.labels: dict[ULetter, Obj] = {}
         return self
 
     def __call__(self, g: str) -> str:
@@ -154,13 +156,15 @@ def free_uobj(word: Obj, phi: ObjMap) -> UObj:
 
 
 def uobj_dissolve(x: Iterable[ULetter], phi: ObjMap) -> Obj:
-    """Read formed letters through phi, giving a plain target word; a word reads as its normal form does."""
+    """Read formed letters through phi, giving a plain target word; a word reads as its normal form does.
+    Each letter is read once per map; one that raises is not stored."""
+    memo = phi.labels
     out: list[str] = []
     for letter in x:
-        if isinstance(letter, FreeLetter):
-            out.append(letter.name)
-        else:
-            out.extend(phi(a) for a in letter.word)
+        labels = memo.get(letter)
+        if labels is None:
+            labels = memo[letter] = (letter.name,) if isinstance(letter, FreeLetter) else tuple(map(phi, letter.word))
+        out += labels
     return tuple(out)
 
 

@@ -640,15 +640,13 @@ def test_formed_letter_stays_formed_through_a_braid_factor(tmp_path, flavor, swa
 _ROWS = "node n = [fa fb fa]\nnode m = [fb fa fa]\nedge e : n -> m = s1 ; id . s2 s1 . id ; s1\ngoal g : e == e\n"
 
 
-@pytest.mark.parametrize("source", [
-    fixture_text("pair.coh"), fixture_text("cursed_cyclic.coh"), _tiny(_ROWS), _tiny(_ROWS, "symmetric"),
-], ids=["pair", "cursed_cyclic", "braided_rows", "symmetric_rows"])
-def test_each_braid_word_factor_is_permuted_once(monkeypatch, source):
-    """Elaboration computes a braid-word factor's permutation once, and
-    builds both its morphism and its target letters from it. The sources
-    have braid words only as factors of rows, not as parts of pf(..)."""
-    sf = parse_source(source)
-    words = [f for *_, ast in sf.edges for row in ast[1] for f in row[1] if f[0] == "word" and f[1]]
+# one word factor on the same letters in both rows of e and in the row of f applied first
+_REPEATS = "node n = [fa fa]\nedge e : n -> n = s1 . s1\nedge f : n -> n = s1 s1 . s1\ngoal g : e == f\n"
+
+
+def _count_braid_perm(monkeypatch) -> list:
+    """The words braid_perm is called on, wrapped in every cohcheck module
+    that imported it."""
     calls = []
     braid_perm = cohcheck.braid_core.braid_perm
 
@@ -659,8 +657,44 @@ def test_each_braid_word_factor_is_permuted_once(monkeypatch, source):
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, "braid_perm", None) is braid_perm:
             monkeypatch.setattr(mod, "braid_perm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("source, distinct", [
+    (fixture_text("pair.coh"), 4), (fixture_text("cursed_cyclic.coh"), 4), (_tiny(_ROWS), 3),
+    (_tiny(_ROWS, "symmetric"), 3), (_tiny(_REPEATS), 2), (_tiny(_REPEATS, "symmetric"), 2),
+], ids=["pair", "cursed_cyclic", "braided_rows", "symmetric_rows", "braided_repeats", "symmetric_repeats"])
+def test_each_braid_word_factor_is_permuted_once(monkeypatch, source, distinct):
+    """Elaboration computes a braid-word factor's permutation once per
+    distinct word and consumed letters in a file, and builds both its
+    morphism and its target letters from it. The sources have braid words
+    only as factors of rows, not as parts of pf(..); cursed_cyclic repeats
+    two words on the same letters in other edges, and _REPEATS repeats one
+    in another row of the same edge and in another edge."""
+    sf = parse_source(source)
+    words = [f for *_, ast in sf.edges for row in ast[1] for f in row[1] if f[0] == "word" and f[1]]
+    calls = _count_braid_perm(monkeypatch)
     build_diagram(sf)
-    assert words and len(calls) == len(words)
+    assert len(words) >= len(calls) == distinct
+
+
+def test_each_build_elaborates_afresh(monkeypatch):
+    # the memo lives for one build_diagram call: a second build of the
+    # same parsed file permutes as many words as the first
+    sf = parse_source(_tiny(_REPEATS))
+    calls = _count_braid_perm(monkeypatch)
+    d = build_diagram(sf)
+    first = len(calls)
+    assert build_diagram(sf) == d and len(calls) == 2 * first > 0
+
+
+def test_width_check_runs_before_the_memo():
+    # e's final id takes the empty rest and stores (id, ()); f's middle id
+    # needs one letter and none is left, whatever the memo holds
+    text = _tiny("node n = [fa fa]\nedge e : n -> n = s1 ; id\nedge f : n -> n = s1 ; id ; id\n")
+    with pytest.raises(ElabError) as err:
+        build_diagram(parse_source(text))
+    assert str(err.value) == "line 7, col 1: id needs 1 letters, 0 left"
 
 
 _PF = (

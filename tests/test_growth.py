@@ -2,8 +2,9 @@
 
 A family asserts how deterministic counts grow, never times. The count is
 the letters handed to the content builders (braid_compose, fmor_join and
-normalize_braid), summed over every call while a file is parsed, built and
-its goals explained. Each builder is wrapped in every cohcheck module that
+normalize_braid) and to uobj_dissolve, which reads labels off letters,
+summed over every call while a file is parsed, built and its goals
+explained. Each builder is wrapped in every cohcheck module that
 imported it. A linear family passes when each doubling multiplies every
 count by at most LINEAR.
 """
@@ -17,6 +18,7 @@ import pytest
 
 import cohcheck.braid_core
 import cohcheck.free_cat
+import cohcheck.ualg
 from cohcheck.braid_core import BraidWord
 from cohcheck.cli import build_diagram, parse_source
 from cohcheck.diagram_check import explain_goal
@@ -36,6 +38,7 @@ BUILDERS = {
     "braid_compose": (cohcheck.braid_core, lambda u, v: len(u.letters) + len(v.letters)),
     "fmor_join": (cohcheck.free_cat, lambda flavor, source, target, rows: sum(_letters(c) for m in rows for _, c in m)),
     "normalize_braid": (cohcheck.braid_core, lambda w: len(w.letters)),
+    "uobj_dissolve": (cohcheck.ualg, lambda x, phi: len(x)),
 }
 
 
@@ -62,13 +65,14 @@ def _letters_handed(monkeypatch, source: str) -> collections.Counter:
 WORD = " ".join(("s1", "s2", "s1^-1", "s2", "s2^-1")[i % 5] for i in range(40))
 
 
+def _file(flavor: str, body: str) -> str:
+    return f"flavor {flavor}\ngens A = {{ a }}\ngens A2 = {{ fa }}\nmap phi : A -> A2 {{ a -> fa }}\n" + body
+
+
 def _goal_path(flavor: str, k: int) -> str:
     """A goal both of whose sides are k copies of the one edge."""
     path = " . ".join(["e"] * k)
-    return (
-        f"flavor {flavor}\ngens A = {{ a }}\ngens A2 = {{ fa }}\nmap phi : A -> A2 {{ a -> fa }}\n"
-        f"node n = [fa fa fa]\nedge e : n -> n = {WORD}\ngoal g : {path} == {path}\n"
-    )
+    return _file(flavor, f"node n = [fa fa fa]\nedge e : n -> n = {WORD}\ngoal g : {path} == {path}\n")
 
 
 @pytest.mark.parametrize("flavor", ["braided", "symmetric"])
@@ -77,6 +81,39 @@ def test_goal_paths_are_linear(monkeypatch, flavor):
     counts = [_letters_handed(monkeypatch, _goal_path(flavor, size)) for size in (k, 2 * k, 4 * k)]
     # the counters see the path: both sides' letters, or strands in flavor S
     assert sum(counts[0].values()) >= 2 * k * (40 if flavor == "braided" else 3)
+    for small, large in zip(counts, counts[1:]):
+        for name in BUILDERS:
+            assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
+
+
+# rows in the order they are applied: a formed letter split and glued
+# again, and braid words on the plain letters beside it
+ROWS = ("id ; s1", "q^-1(a | a) ; id", "q(a | a) ; id", "id ; s1 s1")
+
+
+def _edge_of_rows(flavor: str, k: int) -> str:
+    """A goal on one edge of k rows."""
+    rows = " . ".join(ROWS[i % len(ROWS)] for i in reversed(range(k)))
+    return _file(flavor, f"node n = phi(a a) ; [fa fa]\nedge e : n -> n = {rows}\ngoal g : e == e\n")
+
+
+def _row_of_factors(flavor: str, k: int) -> str:
+    """A goal on one edge of one row of k factors, id and s1 by turns."""
+    node = " ; ".join(["phi(a a) ; [fa fa]"] * (k // 2))
+    row = " ; ".join(["id ; s1"] * (k // 2))
+    return _file(flavor, f"node n = {node}\nedge e : n -> n = {row}\ngoal g : e == e\n")
+
+
+@pytest.mark.parametrize("flavor", ["braided", "symmetric"])
+@pytest.mark.parametrize("family", [_edge_of_rows, _row_of_factors], ids=["edge_of_k_rows", "row_of_k_factors"])
+def test_elaboration_is_linear(monkeypatch, family, flavor):
+    """Elaboration reads each factor's chunk, not the rest of its row: a
+    take step that handed a build the rest would make a row of k factors
+    quadratic in the letters handed to uobj_dissolve."""
+    k = 40
+    counts = [_letters_handed(monkeypatch, family(flavor, size)) for size in (k, 2 * k, 4 * k)]
+    # the counters see the edge: its source and target are read for labels
+    assert counts[0]["uobj_dissolve"] >= 2 * (3 if family is _edge_of_rows else 3 * k // 2)
     for small, large in zip(counts, counts[1:]):
         for name in BUILDERS:
             assert large[name] <= LINEAR * small[name], (name, small[name], large[name])

@@ -82,6 +82,19 @@ def test_obj_map_replace_and_make_check_and_memoize():
         ObjMap._make((A, A2, (("a", "nope"),)))
 
 
+def test_obj_map_memoizes_labels():
+    # each letter's labels are read once per map; a copy starts empty, and
+    # a letter that raises is not stored
+    phi = ObjMap(AB, F1, (("a", "f"), ("b", "f")))
+    x = (PhiLetter(("a", "b")), FreeLetter("f"), PhiLetter(("a", "b")), PhiLetter(()))
+    assert uobj_dissolve(x, phi) == ("f", "f", "f", "f", "f")
+    assert phi.labels == {PhiLetter(("a", "b")): ("f", "f"), FreeLetter("f"): ("f",), PhiLetter(()): ()}
+    assert phi._replace(pairs=phi.pairs).labels == {} and ObjMap._make(phi).labels == {}
+    with pytest.raises(UnknownName):
+        uobj_dissolve((PhiLetter(("a",)), PhiLetter(("a", "z"))), phi)
+    assert PhiLetter(("a",)) in phi.labels and PhiLetter(("a", "z")) not in phi.labels
+
+
 def test_normalize_length_one():
     assert normalize_uobj((PhiLetter(("a",)),), PHI_A) == (FreeLetter("fa"),)
 
