@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from cohcheck.errors import CohError, UnsupportedOp
 from cohcheck.free_cat import GenSet, format_obj
@@ -24,21 +23,14 @@ from cohcheck.functor_eval import check_axioms, default_probe, make_builtin_spec
 FLAVORS = {"M": "plain", "S": "symmetric", "B": "braided"}
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    kinds: tuple[str, ...]
-    gens: GenSet
-    max_len: int
-
-
-def run(cfg: ReportConfig) -> int:
-    probe = default_probe(cfg.gens, cfg.max_len)
-    print(f"probe: {len(probe)} objects over {{{', '.join(cfg.gens.names)}}}, "
-          f"length <= {cfg.max_len}\n")
-    for kind in cfg.kinds:
+def run(kinds: tuple[str, ...], gens: GenSet, max_len: int) -> int:
+    probe = default_probe(gens, max_len)
+    print(f"probe: {len(probe)} objects over {{{', '.join(gens.names)}}}, "
+          f"length <= {max_len}\n")
+    for kind in kinds:
         for flavor, word in FLAVORS.items():
             try:
-                spec = make_builtin_spec(kind, cfg.gens, flavor)
+                spec = make_builtin_spec(kind, gens, flavor)
             except UnsupportedOp as err:
                 print(f"{kind:<10} {word:<10} not definable: {err}")
                 continue
@@ -64,7 +56,7 @@ def main() -> int:
     ap.add_argument("--max-len", type=int, default=2)
     args = ap.parse_args()
     try:
-        return run(ReportConfig(tuple(args.kinds), GenSet("G", tuple(args.gens)), args.max_len))
+        return run(tuple(args.kinds), GenSet("G", tuple(args.gens)), args.max_len)
     except CohError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

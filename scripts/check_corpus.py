@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from cohcheck.cli import _load
@@ -23,16 +22,11 @@ from cohcheck.diagram_check import EQUAL, check_goal, diagram_shadow, explain_go
 from cohcheck.errors import CohError
 
 
-@dataclass(frozen=True)
-class CorpusConfig:
-    directory: Path
-    flatten: bool  # also report the symmetric flattening of braided files
-
-
-def run(cfg: CorpusConfig) -> int:
-    files = sorted(cfg.directory.glob("*.coh"))
+def run(directory: Path, flatten: bool) -> int:
+    """flatten: also report the symmetric flattening of braided files."""
+    files = sorted(directory.glob("*.coh"))
     if not files:
-        print(f"no .coh files under {cfg.directory}", file=sys.stderr)
+        print(f"no .coh files under {directory}", file=sys.stderr)
         return 2
     width = max(len(p.stem) for p in files) + 2
     failures = 0
@@ -49,7 +43,7 @@ def run(cfg: CorpusConfig) -> int:
             print(f"{head} error: {error}")
             failures += 1
             continue
-        flat = diagram_shadow(d) if cfg.flatten and d.flavor == "B" else None
+        flat = diagram_shadow(d) if flatten and d.flavor == "B" else None
         for goal, rep in zip(d.goals, reports):
             line = (
                 f"{head} {goal.name:<8} {rep.verdict:<16} "
@@ -69,7 +63,7 @@ def main() -> int:
     ap.add_argument("--flatten", action="store_true",
                     help="also check braided files at the permutation level")
     args = ap.parse_args()
-    return run(CorpusConfig(args.dir, args.flatten))
+    return run(args.dir, args.flatten)
 
 
 if __name__ == "__main__":

@@ -478,32 +478,24 @@ class _Env(NamedTuple):
     span: SourceSpan | None
 
 
+def _check_names(names: Sequence[str], gens: GenSet, span: SourceSpan | None) -> None:
+    for n in names:
+        if n not in gens:
+            raise ElabError(f"{n!r} is not a generator of {gens.name}", span)
+
+
 def _elab_obj(ast: ObjAst, env: _Env) -> tuple[ULetter, ...]:
     raw: list[ULetter] = []
     for item in ast:
         if item[0] == "letters":
-            for n in item[1]:
-                if n not in env.phi.target:
-                    raise ElabError(f"{n!r} is not a generator of {env.phi.target.name}", env.span)
-                raw.append(FreeLetter(n))
+            _check_names(item[1], env.phi.target, env.span)
+            raw += map(FreeLetter, item[1])
+        elif item[1] != env.mapname:
+            raise ElabError(f"{item[1]!r} is not the declared map {env.mapname!r}", env.span)
         else:
-            _, head, names = item
-            if head != env.mapname:
-                raise ElabError(f"{head!r} is not the declared map {env.mapname!r}", env.span)
-            for n in names:
-                if n not in env.phi.source:
-                    raise ElabError(f"{n!r} is not a generator of {env.phi.source.name}", env.span)
-            raw.append(PhiLetter(names))
+            _check_names(item[2], env.phi.source, env.span)
+            raw.append(PhiLetter(item[2]))
     return tuple(raw)
-
-
-def _free_labels(chunk: Sequence[ULetter], env: _Env) -> tuple[str, ...]:
-    """The plain labels of a chunk. Its letters were name-checked when they
-    were elaborated, so only a formed letter not of length one is faulty."""
-    for letter in chunk:
-        if type(letter) is PhiLetter and len(letter.word) != 1:
-            raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
-    return uobj_dissolve(chunk, env.phi)
 
 
 def _check_flavor(f: tuple, env: _Env) -> None:
@@ -555,9 +547,7 @@ def _take_factor(f: tuple, letters: tuple[ULetter, ...], pos: int, final: bool, 
                 raise ElabError(f"word needs {count} strands, {rest} left", env.span)
             count = rest
     elif kind in ("q", "qinv"):
-        unknown = [n for w in f[1] for n in w if n not in env.phi.source]
-        if unknown:
-            raise ElabError(f"{unknown[0]!r} is not a generator of {env.phi.source.name}", env.span)
+        _check_names([n for w in f[1] for n in w], env.phi.source, env.span)
         count = len(f[1]) if kind == "q" else 1
     elif kind == "pf":
         count = len(f[2])
@@ -581,7 +571,11 @@ def _elab_factor(f: tuple, chunk: tuple[ULetter, ...], env: _Env) -> tuple[objec
         return UId(normalize_uobj(chunk, phi)), chunk, len(uobj_dissolve(chunk, phi)), None
 
     if f[0] in ("word", "perm"):
-        u, p = _free_mor(f, _free_labels(chunk, env), env, "")
+        # names were checked when the letters were made: only a formed letter not of length one is faulty
+        for letter in chunk:
+            if type(letter) is PhiLetter and len(letter.word) != 1:
+                raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
+        u, p = _free_mor(f, uobj_dissolve(chunk, phi), env, "")
         return UFree(u), tuple(permute(chunk, p)), len(chunk), u.content
 
     if f[0] in ("q", "qinv"):
@@ -698,11 +692,9 @@ def build_diagram(sf: SourceFile) -> Diagram:
     for name, esrc, etgt, ast in sf.edges:
         env = _Env(phi, sf.flavor, mapname, sf.spans.get(("edge", name)))
         term, residue, raw_tgt = _elab_mor(ast, raw_nodes[esrc], env, builds)
-        if normalize_uobj(raw_tgt, phi) != nodes[etgt]:
-            raise ElabError(
-                f"edge {name} ends at {format_uobj(normalize_uobj(raw_tgt, phi))}, "
-                f"node {etgt} is {format_uobj(nodes[etgt])}", env.span
-            )
+        if (tgt := normalize_uobj(raw_tgt, phi)) != nodes[etgt]:
+            message = f"edge {name} ends at {format_uobj(tgt)}, node {etgt} is {format_uobj(nodes[etgt])}"
+            raise ElabError(message, env.span)
         residues[name] = (Edge(name, esrc, etgt, term), residue)
 
     functor: FunctorSpec | None = None
@@ -718,17 +710,11 @@ def build_diagram(sf: SourceFile) -> Diagram:
             raise ElabError(f"functor {name}: {err}", span) from err
         functor = built[name]
 
-    interp: dict[str, tuple[str, ...]] | None = None
-    if sf.interps:
-        interp = {}
-        for name, names in sf.interps:
-            span = sf.spans.get(("interp", name))
-            if name not in phi.target:
-                raise ElabError(f"{name!r} is not a generator of {phi.target.name}", span)
-            for n in names:
-                if n not in phi.source:
-                    raise ElabError(f"{n!r} is not a generator of {phi.source.name}", span)
-            interp[name] = names
+    for name, names in sf.interps:  # parsing rejects a letter interpreted twice
+        span = sf.spans.get(("interp", name))
+        _check_names((name,), phi.target, span)
+        _check_names(names, phi.source, span)
+    interp = dict(sf.interps) if sf.interps else None
 
     goals = tuple(Goal(name, left, right) for name, left, right in sf.goals)
     d = Diagram(sf.flavor, phi, nodes, {name: e for name, (e, _) in residues.items()}, goals, functor, interp)

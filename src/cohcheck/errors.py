@@ -25,7 +25,7 @@ class CohError(Exception):
 
 
 class FlavorError(CohError):
-    """Mixing flavors, or an operation missing in the given flavor."""
+    """Mixing flavors, or an unknown flavor."""
 
 
 class BoundaryError(CohError):

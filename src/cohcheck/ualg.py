@@ -60,9 +60,9 @@ class _ObjMapFields(NamedTuple):
 
 class ObjMap(_ObjMapFields):
     """A total map between generator sets, one image per source; a call
-    checks the pairs. It keeps the images in a dict and memoizes the normal
-    form and the labels of each letter, in attributes outside equality,
-    hashing and repr."""
+    checks the pairs. Outside equality, hashing and repr, it keeps the images
+    in a dict and one memo from each letter to its normal form and labels:
+    a letter is read through the map once, and never stored if it raises."""
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
 
     def __new__(cls, source: GenSet, target: GenSet, pairs: tuple[tuple[str, str], ...]) -> ObjMap:
@@ -80,8 +80,7 @@ class ObjMap(_ObjMapFields):
             raise StructureError(f"map gives {g!r} more than one image")
         self = tuple.__new__(cls, (source, target, pairs))
         self.images: dict[str, str] = images
-        self.letters: dict[ULetter, UObj] = {}
-        self.labels: dict[ULetter, Obj] = {}
+        self.letters: dict[ULetter, tuple[UObj, Obj]] = {}
         return self
 
     def __call__(self, g: str) -> str:
@@ -119,31 +118,34 @@ def format_uobj(x: UObj) -> str:
     return "[" + " ; ".join(str(l) for l in x) + "]"
 
 
-def _normal_letter(letter: ULetter, phi: ObjMap) -> UObj:
+def _read_letter(letter: ULetter, phi: ObjMap) -> tuple[UObj, Obj]:
+    """A letter's normal form and its plain labels, read through phi."""
     if isinstance(letter, FreeLetter):
         if letter.name not in phi.target:
             raise UnknownName(f"unknown generator {letter.name!r} in {phi.target.name}")
-        return (letter,)
-    for a in letter.word:
-        if a not in phi.source:
-            raise UnknownName(f"unknown generator {a!r} in {phi.source.name}")
-    if len(letter.word) == 1:
-        return (FreeLetter(phi(letter.word[0])),)
-    return (letter,) if letter.word else ()
+        return (letter,), (letter.name,)
+    labels = tuple(map(phi, letter.word))
+    if len(labels) == 1:
+        return (FreeLetter(labels[0]),), labels
+    return (letter,) if labels else (), labels
+
+
+def _read(x: Iterable[ULetter], phi: ObjMap, part: int) -> tuple:
+    """Part 0 (the normal form) or 1 (the labels) of each letter's memoized reading, joined."""
+    memo = phi.letters
+    out: list = []
+    for letter in x:
+        read = memo.get(letter)
+        if read is None:
+            read = memo[letter] = _read_letter(letter, phi)
+        out += read[part]
+    return tuple(out)
 
 
 def normalize_uobj(x: Iterable[ULetter], phi: ObjMap) -> UObj:
     """Canonical form: length-one formed letters become plain letters,
-    empty ones disappear. Letterwise, hence idempotent and a monoid map.
-    Each letter is checked once per map; one that raises is not stored."""
-    memo = phi.letters
-    out: list[ULetter] = []
-    for letter in x:
-        norm = memo.get(letter)
-        if norm is None:
-            norm = memo[letter] = _normal_letter(letter, phi)
-        out += norm
-    return tuple(out)
+    empty ones disappear. Letterwise, hence idempotent and a monoid map."""
+    return _read(x, phi, 0)
 
 
 def phi_object(blocks: Tuple2, phi: ObjMap) -> UObj:
@@ -156,16 +158,9 @@ def free_uobj(word: Obj, phi: ObjMap) -> UObj:
 
 
 def uobj_dissolve(x: Iterable[ULetter], phi: ObjMap) -> Obj:
-    """Read formed letters through phi, giving a plain target word; a word reads as its normal form does.
-    Each letter is read once per map; one that raises is not stored."""
-    memo = phi.labels
-    out: list[str] = []
-    for letter in x:
-        labels = memo.get(letter)
-        if labels is None:
-            labels = memo[letter] = (letter.name,) if isinstance(letter, FreeLetter) else tuple(map(phi, letter.word))
-        out += labels
-    return tuple(out)
+    """Read formed letters through phi, giving a plain target word; a word
+    reads as its normal form does, and its names are checked the same way."""
+    return _read(x, phi, 1)
 
 
 # -- morphism terms -----------------------------------------------------------

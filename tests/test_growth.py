@@ -117,3 +117,44 @@ def test_elaboration_is_linear(monkeypatch, family, flavor):
     for small, large in zip(counts, counts[1:]):
         for name in BUILDERS:
             assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
+
+
+def _goals_on_one_edge(flavor: str, k: int) -> str:
+    """k goals e . e == e . e on the one edge."""
+    goals = "".join(f"goal g{i} : e . e == e . e\n" for i in range(k))
+    return _file(flavor, f"node n = [fa fa fa]\nedge e : n -> n = {WORD}\n{goals}")
+
+
+@pytest.mark.parametrize("flavor", ["braided", "symmetric"])
+def test_goals_on_one_edge_dissolve_it_once(monkeypatch, flavor):
+    """The edge is dissolved once per diagram, so the letters handed to
+    uobj_dissolve do not grow with the number of goals; every other count
+    grows linearly with them."""
+    k = 40
+    counts = [_letters_handed(monkeypatch, _goals_on_one_edge(flavor, size)) for size in (k, 2 * k, 4 * k)]
+    assert counts[0]["fmor_join"] >= 4 * k * (40 if flavor == "braided" else 3)
+    assert counts[0]["uobj_dissolve"] == counts[1]["uobj_dissolve"] == counts[2]["uobj_dissolve"] > 0
+    for small, large in zip(counts, counts[1:]):
+        for name in BUILDERS:
+            assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
+
+
+def _pf_on_blocks(flavor: str, k: int, outer: bool) -> str:
+    """One pf(..) with k inners s1 on k blocks phi(a a); its outer is id, or
+    a word of k - 1 letters, which cable spreads over the blocks."""
+    node = " ; ".join(["phi(a a)"] * k)
+    word = " ".join(f"s{i}" for i in range(1, k)) if outer else "id"
+    inners = ", ".join(["s1"] * k)
+    return _file(flavor, f"node n = {node}\nedge e : n -> n = pf(outer={word}; inner={inners})\ngoal g : e == e\n")
+
+
+@pytest.mark.parametrize("flavor", ["braided", "symmetric"])
+@pytest.mark.parametrize("outer", [False, True], ids=["outer_id", "outer_word"])
+def test_pf_on_k_blocks_is_linear(monkeypatch, flavor, outer):
+    k = 40
+    counts = [_letters_handed(monkeypatch, _pf_on_blocks(flavor, size, outer)) for size in (k, 2 * k, 4 * k)]
+    # the counters see every block: the edge's letters are read for labels
+    assert counts[0]["uobj_dissolve"] >= 2 * k
+    for small, large in zip(counts, counts[1:]):
+        for name in BUILDERS:
+            assert large[name] <= LINEAR * small[name], (name, small[name], large[name])

@@ -1,6 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module it imports is its own or the standard library's, other than
-dataclasses. Every top-level function and class of the library is used
+"""Every name a library module or script imports is used in that file.
+Every module the library imports is its own or the standard library's,
+other than dataclasses. Every top-level function and class of the library is used
 somewhere, and one that only tests use has its reason listed. No linter
 runs on the project, and a deletion can leave an import or a definition
 behind."""
@@ -15,9 +15,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cohcheck"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))  # they import cohcheck, so only the first test reads them
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + SCRIPTS, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()

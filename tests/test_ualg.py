@@ -74,7 +74,7 @@ def test_obj_map_replace_and_make_check_and_memoize():
     normalize_uobj((PhiLetter(("a",)),), PHI_A)
     m = PHI_A._replace(pairs=(("a", "fa"),))
     assert PHI_A.letters and m == PHI_A and m.letters == {}
-    assert free_uobj(("fa",), m) == (FreeLetter("fa"),) and m.letters == {FreeLetter("fa"): (FreeLetter("fa"),)}
+    assert free_uobj(("fa",), m) == (FreeLetter("fa"),) and m.letters == {FreeLetter("fa"): ((FreeLetter("fa"),), ("fa",))}
     assert ObjMap._make(PHI_A).letters == {}
     with pytest.raises(StructureError):
         PHI_A._replace(pairs=())
@@ -83,16 +83,23 @@ def test_obj_map_replace_and_make_check_and_memoize():
 
 
 def test_obj_map_memoizes_labels():
-    # each letter's labels are read once per map; a copy starts empty, and
-    # a letter that raises is not stored
+    # one memo: each letter's normal form and labels, read once per map; a
+    # copy starts empty, and a letter that raises is not stored
     phi = ObjMap(AB, F1, (("a", "f"), ("b", "f")))
     x = (PhiLetter(("a", "b")), FreeLetter("f"), PhiLetter(("a", "b")), PhiLetter(()))
     assert uobj_dissolve(x, phi) == ("f", "f", "f", "f", "f")
-    assert phi.labels == {PhiLetter(("a", "b")): ("f", "f"), FreeLetter("f"): ("f",), PhiLetter(()): ()}
-    assert phi._replace(pairs=phi.pairs).labels == {} and ObjMap._make(phi).labels == {}
+    assert phi.letters == {
+        PhiLetter(("a", "b")): ((PhiLetter(("a", "b")),), ("f", "f")),
+        FreeLetter("f"): ((FreeLetter("f"),), ("f",)),
+        PhiLetter(()): ((), ()),
+    }
+    assert normalize_uobj(x, phi) == (PhiLetter(("a", "b")), FreeLetter("f"), PhiLetter(("a", "b")))
+    assert len(phi.letters) == 3
+    assert phi._replace(pairs=phi.pairs).letters == {} and ObjMap._make(phi).letters == {}
     with pytest.raises(UnknownName):
         uobj_dissolve((PhiLetter(("a",)), PhiLetter(("a", "z"))), phi)
-    assert PhiLetter(("a",)) in phi.labels and PhiLetter(("a", "z")) not in phi.labels
+    assert phi.letters[PhiLetter(("a",))] == ((FreeLetter("f"),), ("f",))
+    assert PhiLetter(("a", "z")) not in phi.letters
 
 
 def test_normalize_length_one():
@@ -400,8 +407,9 @@ def test_warm_map_normalizes_like_a_fresh_one(data):
         (lambda phi: normalize_uobj((PhiLetter(("a", "z")),), phi), "unknown generator 'z' in AB"),
         (lambda phi: free_uobj(("f", "zz"), phi), "unknown generator 'zz' in F1"),
         (lambda phi: phi_object((("a",), ("b", "zz")), phi), "unknown generator 'zz' in AB"),
+        (lambda phi: uobj_dissolve((FreeLetter("zz"),), phi), "unknown generator 'zz' in F1"),
     ],
-    ids=["free-letter", "formed-letter", "free-word", "blocks"],
+    ids=["free-letter", "formed-letter", "free-word", "blocks", "dissolve-free-letter"],
 )
 def test_memo_keeps_nothing_faulty(normalize, message):
     phi = ObjMap(AB, F1, PHI_FOLD.pairs)
