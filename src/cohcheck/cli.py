@@ -40,8 +40,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .braid_core import (
-    _LETTER_RE, BraidWord, Perm, block_braid, block_perm, braid_equal, braid_perm, braid_str,
-    normalize_braid, parse_braid, perm_braid, permute,
+    _LETTER_RE, BraidWord, Perm, block_braid, block_perm, braid_equal, braid_perm, braid_str, parse_braid, permute,
 )
 from .diagram_check import (
     EQUAL,
@@ -52,6 +51,7 @@ from .diagram_check import (
     dissolve_path,
     explain_goal,
     report_json,
+    side_report,
     validate_diagram,
 )
 from .errors import CohError, ElabError, ParseError, SourceSpan, StructureError
@@ -800,28 +800,21 @@ def dissolve_cmd(file: str) -> int:
     d = _load(file)
     for name in d.edges:
         u = dissolve_path(d, (name,))
-        print(f"edge {name}: {' '.join(u.source)} -> {' '.join(u.target)}  {_content_str(u, d.flavor)}")
+        word = braid_str(u.content) if d.flavor == "B" else ""
+        print(f"edge {name}: {' '.join(u.source)} -> {' '.join(u.target)}  {_content_str(d.flavor, word, u.content)}")
     for g in d.goals:
         for label, path in (("left", g.left), ("right", g.right)):
-            u = dissolve_path(d, path)
-            print(f"goal {g.name} {label}: {_content_str(u, d.flavor)}  nf {_nf_str(u, d.flavor)}")
+            s = side_report(d, path)
+            nf = "id" if d.flavor == "M" else s.nf or "(empty)"
+            print(f"goal {g.name} {label}: {_content_str(d.flavor, s.word, s.perm)}  nf {nf}")
     return 0
 
 
-def _content_str(u: FreeMor, flavor: Flavor) -> str:
+def _content_str(flavor: Flavor, word: str, perm: Perm) -> str:
+    """A residue as dissolve spells it: its braid word in flavor B, its permutation in flavor S."""
     if flavor == "B":
-        return braid_str(u.content) or "(empty)"
-    if flavor == "S":
-        return "perm " + " ".join(str(i + 1) for i in u.content)
-    return "id"
-
-
-def _nf_str(u: FreeMor, flavor: Flavor) -> str:
-    if flavor == "B":
-        return str(normalize_braid(u.content))
-    if flavor == "S":
-        return braid_str(perm_braid(u.content)) or "(empty)"
-    return "id"
+        return word or "(empty)"
+    return "perm " + " ".join(str(i + 1) for i in perm) if flavor == "S" else "id"
 
 
 def braid_eq(w1: str, w2: str, strands: int) -> int:

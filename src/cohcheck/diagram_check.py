@@ -137,16 +137,6 @@ def compose_path(d: Diagram, path: Sequence[str], at: str | None = None) -> UMor
     return term
 
 
-class _Residue(NamedTuple):
-    """What is left of a goal side once every constraint is dissolved:
-    the free morphism, its permutation shadow and what equality compares,
-    the normal form in flavor B and the content otherwise."""
-
-    mor: FreeMor
-    shadow: FreeMor
-    key: object
-
-
 def dissolve_path(d: Diagram, path: Sequence[str]) -> FreeMor:
     """The dissolution of compose_path(d, path), a nonempty path: one join,
     linear in the path, of its edges' residues in the order they apply. The
@@ -156,29 +146,40 @@ def dissolve_path(d: Diagram, path: Sequence[str]) -> FreeMor:
     return fmor_join(d.flavor, applied[0].source, applied[-1].target, [[(0, u.content)] for u in applied])
 
 
-def _residue(d: Diagram, path: Sequence[str]) -> _Residue:
+class SideReport(NamedTuple):
+    """A goal side once every constraint is dissolved, as every command shows it: the
+    word of its braid, the normal form that equality compares, and its permutation shadow."""
+
+    word: str
+    nf: str
+    shadow: FreeMor
+
+    @property
+    def perm(self) -> Perm:
+        return self.shadow.content
+
+
+def side_report(d: Diagram, path: Sequence[str]) -> SideReport:
+    """The view of a nonempty path's dissolution. The normal form is the
+    Garside one in flavor B and the word otherwise, which spells the
+    permutation; either is injective on parallel sides."""
     u = dissolve_path(d, path)
-    return _Residue(u, permutation_shadow(u), normalize_braid(u.content) if d.flavor == "B" else u.content)
+    word = braid_str(display_braid(u))
+    return SideReport(word, str(normalize_braid(u.content)) if d.flavor == "B" else word, permutation_shadow(u))
 
 
-def _verdict(left: _Residue, right: _Residue) -> Verdict:
-    if left.mor.source != right.mor.source or left.mor.target != right.mor.target:
+def _verdict(left: SideReport, right: SideReport) -> Verdict:
+    if left.shadow.source != right.shadow.source or left.shadow.target != right.shadow.target:
         raise BoundaryError("equality of non-parallel morphisms")
-    if left.key == right.key:
+    if left.nf == right.nf:
         return EQUAL
-    if left.mor.flavor == "B" and left.shadow == right.shadow:
+    if left.shadow == right.shadow:  # only braids can differ on equal permutations
         return EQUAL_IN_S_ONLY
     return NOT_EQUAL
 
 
 def check_goal(d: Diagram, goal: Goal) -> Verdict:
-    return _verdict(_residue(d, goal.left), _residue(d, goal.right))
-
-
-class SideReport(NamedTuple):
-    word: str
-    nf: str
-    perm: Perm
+    return _verdict(side_report(d, goal.left), side_report(d, goal.right))
 
 
 class GoalReport(NamedTuple):
@@ -189,29 +190,18 @@ class GoalReport(NamedTuple):
     projections: dict[Gen, tuple[Perm, Perm]]
 
 
-def _side_report(r: _Residue) -> SideReport:
-    word = braid_str(display_braid(r.mor))
-    return SideReport(word, str(r.key) if r.mor.flavor == "B" else word, r.shadow.content)
-
-
 def explain_goal(d: Diagram, goal: Goal) -> GoalReport:
     """Everything check_goal sees, plus per-generator self-permutations of
     the permutation shadows. A functor and interpretation declared in the
     diagram are checked."""
-    left, right = _residue(d, goal.left), _residue(d, goal.right)
+    left, right = side_report(d, goal.left), side_report(d, goal.right)
     if d.functor is not None and d.interp is not None:
         check_interp(d.functor, d.interp, d.phi)
     projections = {
         g: (project_generator(left.shadow, g), project_generator(right.shadow, g))
         for g in d.phi.target.names
     }
-    return GoalReport(
-        goal=goal.name,
-        verdict=_verdict(left, right),
-        left=_side_report(left),
-        right=_side_report(right),
-        projections=projections,
-    )
+    return GoalReport(goal.name, _verdict(left, right), left, right, projections)
 
 
 def report_json(rep: GoalReport) -> dict:

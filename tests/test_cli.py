@@ -43,6 +43,10 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_t
 # shapes of the long_goals workload; the stdout predates the per-map memo.
 LONG = Path(__file__).resolve().parent / "long"
 GOLDEN_LONG = json.loads((Path(__file__).resolve().parent / "golden_long.json").read_text(encoding="utf-8"))
+# stdout and exit status of `coh render FILE --edge E` for every edge of the
+# corpus and of tests/long, keyed "FILE EDGE"
+GOLDEN_RENDER = json.loads((Path(__file__).resolve().parent / "golden_render.json").read_text(encoding="utf-8"))
+SAMPLES = [FIXTURES / name for name in CORPUS] + sorted(LONG.glob("*.coh"))
 
 
 def fixture_text(name: str) -> str:
@@ -490,6 +494,35 @@ def test_long_output_frozen(key):
     assert {"stdout": r.stdout, "exit": r.exit_code} == GOLDEN_LONG[key]
 
 
+def test_render_golden_covers_every_edge():
+    edges = [f"{path.name} {name}" for path in SAMPLES for name, *_ in parse_source(path.read_text()).edges]
+    assert sorted(GOLDEN_RENDER) == sorted(edges)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_RENDER))
+def test_render_output_frozen(key):
+    name, edge = key.split()
+    (path,) = [p for p in SAMPLES if p.name == name]
+    r = run("render", str(path), "--edge", edge)
+    assert {"stdout": r.stdout, "exit": r.exit_code} == GOLDEN_RENDER[key]
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.name)
+def test_dissolve_and_check_agree_per_side(path):
+    """dissolve prints each goal side's nf as check reports it, an empty
+    one as (empty), or id in flavor M, and its composite as the side's
+    word in flavor B and its permutation in flavor S."""
+    flavor = parse_source(path.read_text()).flavor
+    sides = [(g["goal"], label, g[label]) for g in json.loads(run("check", str(path)).stdout) for label in ("left", "right")]
+    expected = []
+    for goal, label, side in sides:
+        composite = {"B": side["word"] or "(empty)", "S": "perm " + " ".join(map(str, side["perm"])), "M": "id"}[flavor]
+        nf = "id" if flavor == "M" else side["nf"] or "(empty)"
+        expected.append(f"goal {goal} {label}: {composite}  nf {nf}")
+    printed = [line for line in run("dissolve", str(path)).stdout.splitlines() if line.startswith("goal ")]
+    assert printed == expected and len(sides) >= 2
+
+
 def test_check_json_file(tmp_path):
     out = tmp_path / "verdicts.json"
     r = run("check", str(FIXTURES / "mystery2.coh"), "--json", str(out))
@@ -715,17 +748,17 @@ def test_each_edge_residue_is_joined_without_binary_calls(monkeypatch, source):
     fmor_tensor and fmor_compose never run while a file is built."""
     sf = parse_source(source)
     assert max(len(row[1]) for *_, ast in sf.edges for row in ast[1]) > 1
-    calls = _count_free_cat_calls(monkeypatch, ("fmor_tensor", "fmor_compose"))
+    calls = _count_calls(monkeypatch, ("fmor_tensor", "fmor_compose"))
     build_diagram(sf)
     assert calls == collections.Counter()
 
 
-def _count_free_cat_calls(monkeypatch, names) -> collections.Counter:
-    """Count calls of the named free_cat functions, wrapped in every
-    cohcheck module that imported them."""
+def _count_calls(monkeypatch, names) -> collections.Counter:
+    """Count calls of the named free_cat or braid_core functions, wrapped
+    in every cohcheck module that imported them."""
     calls = collections.Counter()
     for name in names:
-        original = getattr(cohcheck.free_cat, name)
+        original = getattr(cohcheck.free_cat, name, None) or getattr(cohcheck.braid_core, name)
 
         def counting(*args, name=name, original=original):
             calls[name] += 1
@@ -751,10 +784,26 @@ def test_each_goal_side_is_one_join(monkeypatch, flavor, w):
     paths of 4 and 5 edges is explained."""
     d = build_diagram(parse_source(_tiny(_PATHS.format(w), flavor)))
     (goal,) = d.goals
-    calls = _count_free_cat_calls(monkeypatch, ("fmor_tensor", "fmor_compose", "fmor_join"))
+    calls = _count_calls(monkeypatch, ("fmor_tensor", "fmor_compose", "fmor_join"))
     report = explain_goal(d, goal)
     assert calls == collections.Counter(fmor_join=2)
     assert report.verdict == (EQUAL if flavor == "monoidal" else NOT_EQUAL)  # one w against two
+
+
+@pytest.mark.parametrize("flavor, w", [("braided", "s1 s2 s1^-1"), ("symmetric", "perm(3 2 1)"), ("monoidal", "id")])
+def test_check_reads_each_goal_side_once(monkeypatch, tmp_path, flavor, w):
+    """Beyond building the file, coh check makes one report per goal side:
+    one fmor_join, and in flavor B one normal form and one permutation."""
+    path = tmp_path / "paths.coh"
+    path.write_text(_tiny(_PATHS.format(w), flavor))
+    calls = _count_calls(monkeypatch, ("fmor_join", "normalize_braid", "braid_perm"))
+    build_diagram(parse_source(path.read_text()))
+    built = calls.copy()
+    calls.clear()
+    assert run("check", str(path)).exit_code == (0 if flavor == "monoidal" else 1)
+    per_side = ("fmor_join", "normalize_braid", "braid_perm") if flavor == "braided" else ("fmor_join",)
+    assert calls - built == collections.Counter(dict.fromkeys(per_side, 2))
+    assert built - calls == collections.Counter()
 
 
 def test_check_deep_edge(tmp_path):

@@ -23,9 +23,9 @@ from cohcheck.diagram_check import (
     validate_diagram,
 )
 from cohcheck.errors import BoundaryError, PathError, StructureError, UnknownName, UnsupportedOp
-from cohcheck.free_cat import fmor_equal
+from cohcheck.free_cat import GenSet, fmor_equal
 from cohcheck.functor_eval import lambda_eval, make_builtin_spec
-from cohcheck.ualg import UId, dissolve
+from cohcheck.ualg import FreeLetter, UBraiding, UId, dissolve, identity_obj_map
 
 from lib_extras import all_parallel_goals
 from diagrams import (
@@ -183,13 +183,28 @@ def test_json_shape():
 def test_shadow_refuses_plain_flavor():
     d = unequal_diagram()
     assert check_goal(diagram_shadow(d), d.goals[0]) == NOT_EQUAL
-    from cohcheck.free_cat import GenSet
-    from cohcheck.ualg import identity_obj_map
-
     A = GenSet("A", ("a",))
     m = Diagram("M", identity_obj_map(A), {}, {}, ())
     with pytest.raises(UnsupportedOp):
         diagram_shadow(m)
+
+
+@pytest.mark.parametrize("flavor", ["B", "S"])
+def test_non_parallel_sides_are_refused(flavor):
+    """A goal of an unvalidated diagram whose sides end at different
+    objects: an identity on [a b] against the braiding [a b] -> [b a]."""
+    ab, ba = (FreeLetter("a"), FreeLetter("b")), (FreeLetter("b"), FreeLetter("a"))
+    edges = {
+        "stay": Edge("stay", "ab", "ab", UId(ab)),
+        "swap": Edge("swap", "ab", "ba", UBraiding(ab[:1], ab[1:])),
+    }
+    phi = identity_obj_map(GenSet("AB", ("a", "b")))
+    d = Diagram(flavor, phi, {"ab": ab, "ba": ba}, edges, (Goal("g", ("stay",), ("swap",)),))
+    for decide in (check_goal, explain_goal):
+        with pytest.raises(BoundaryError, match="^equality of non-parallel morphisms$"):
+            decide(d, d.goals[0])
+    with pytest.raises(BoundaryError):
+        validate_diagram(d)
 
 
 def test_parallel_goal_enumeration():

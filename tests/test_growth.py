@@ -6,7 +6,8 @@ normalize_braid) and to uobj_dissolve, which reads labels off letters,
 summed over every call while a file is parsed, built and its goals
 explained. Each builder is wrapped in every cohcheck module that
 imported it. A linear family passes when each doubling multiplies every
-count by at most LINEAR.
+count by at most LINEAR. One family counts output bytes, whose size is
+itself the answer, and asserts their true, quadratic order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import cohcheck.braid_core
 import cohcheck.free_cat
 import cohcheck.ualg
 from cohcheck.braid_core import BraidWord
-from cohcheck.cli import build_diagram, parse_source
+from cohcheck.cli import build_diagram, main, parse_source
 from cohcheck.diagram_check import explain_goal
 
 LINEAR = 2.3
@@ -158,3 +159,31 @@ def test_pf_on_k_blocks_is_linear(monkeypatch, flavor, outer):
     for small, large in zip(counts, counts[1:]):
         for name in BUILDERS:
             assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
+
+
+def _perm_reversal(k: int) -> str:
+    """One edge perm(k … 1) on k letters fa, and the goal e == e . e . e."""
+    images = " ".join(str(i) for i in range(k, 0, -1))
+    node = " ".join(["fa"] * k)
+    return _file("symmetric", f"node n = [{node}]\nedge e : n -> n = perm({images})\ngoal g : e == e . e . e\n")
+
+
+def test_perm_reversal_output_is_quadratic(tmp_path, capsys):
+    """The reversal's word has k(k - 1)/2 letters, and check and dissolve
+    print it in full, so their stdout grows with the square of k while the
+    file grows linearly. ROADMAP item 6 bounds the output."""
+    k = 20
+    sizes = collections.defaultdict(list)
+    for size in (k, 2 * k, 4 * k):
+        path = tmp_path / f"reversal{size}.coh"
+        path.write_text(_perm_reversal(size), encoding="utf-8")
+        sizes["file"].append(path.stat().st_size)
+        for command in ("check", "dissolve"):
+            with pytest.raises(SystemExit) as stop:
+                main([command, str(path)])
+            assert stop.value.code == 0  # the reversal is an involution
+            sizes[command].append(len(capsys.readouterr().out.encode()))
+    for name, counts in sizes.items():
+        for small, large in zip(counts, counts[1:]):
+            low, high = (1, LINEAR) if name == "file" else (3, LINEAR**2)
+            assert low * small <= large <= high * small, (name, counts)

@@ -1,9 +1,9 @@
 """Every name a library module or script imports is used in that file.
 Every module the library imports is its own or the standard library's,
 other than dataclasses. Every top-level function and class of the library is used
-somewhere, and one that only tests use has its reason listed. No linter
-runs on the project, and a deletion can leave an import or a definition
-behind."""
+somewhere, and one that only tests use has its reason listed. No library
+line is over 120 characters. No linter runs on the project, and a deletion
+can leave an import or a definition behind."""
 
 from __future__ import annotations
 
@@ -30,6 +30,14 @@ def test_every_imported_name_is_used(path):
             imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_line_is_over_120_characters(path):
+    # wc -l of the library is a size measure: joining lines past this width
+    # would lower it without removing anything
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, start=1) if len(line) > 120] == []
 
 
 def _imported_modules(path: Path) -> list[str]:
