@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import factorial
 from typing import NamedTuple, Sequence
 
 from .errors import ParseError, StructureError
@@ -276,6 +277,12 @@ def _tau(p: list[int]) -> list[int]:
     return [top - x for x in reversed(p)]
 
 
+# Words of at least this many letters per simple braid, n! on n strands,
+# take the tabled pass: from there it is no slower on 2 to 6 strands,
+# whatever the share of inverse letters (README, braid_core).
+_TABLED_LETTERS_PER_SIMPLE = 8
+
+
 def normalize_braid(w: BraidWord) -> BraidNormalForm:
     """Left-greedy normal form: Delta^k f_1 ... f_r with each f_i a
     permutation braid, no f_i trivial or the half twist, and each
@@ -291,12 +298,28 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
             letters.pop()
         else:
             letters.append(l)
-    # sigma_j^-1 = Delta^-1 (Delta sigma_j^-1), and the paren is simple.
-    # Moving a Delta^+-1 to the front conjugates each simple to its left by
-    # Delta, which sends t_j to t_{n-2-j} and keeps pairs left-weighted.
-    # Factors are stored mirrored iff an odd number of half twists has been
-    # taken out to their right, so a letter is mirrored by the parity of the
-    # inverse letters to its right plus that of the half twists taken out.
+    # a word long against the simple braids repeats its steps, so tables
+    # pay; on a short or wide word filling them costs more than they save
+    if len(letters) >= _TABLED_LETTERS_PER_SIMPLE * factorial(n):
+        return _normalize_tabled(n, letters)
+    return _normalize_incremental(n, letters)
+
+
+# Both passes read the letters left to right.
+# sigma_j^-1 = Delta^-1 (Delta sigma_j^-1), and the paren is simple.
+# Moving a Delta^+-1 to the front conjugates each simple to its left by
+# Delta, which sends t_j to t_{n-2-j} and keeps pairs left-weighted.
+# Factors are stored mirrored iff an odd number of half twists has been
+# taken out to their right, so a letter is mirrored by the parity of the
+# inverse letters to its right plus that of the half twists taken out.
+# Repair of left-weightedness runs from the right; once a pair is left
+# unchanged, everything left of it is too (Elrifai-Morton 1994; Epstein et
+# al. 1992, ch. 9).
+
+
+def _normalize_incremental(n: int, letters: list[int]) -> BraidNormalForm:
+    """Each factor is a mutable pair of lists, and each step repairs only
+    the positions that the strands it moved can have broken."""
     inverses_right = sum(l < 0 for l in letters)
     delta = -inverses_right
     twists = 0
@@ -326,9 +349,6 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
             factors.append((p, p[:] if l > 0 else list(inverse_perm(p))))
             i += 1
             todo = [] if l > 0 else list(range(n - 1))
-        # repair left-weightedness from the right; once a pair is left
-        # unchanged, everything left of it is too (Elrifai-Morton 1994;
-        # Epstein et al. 1992, ch. 9)
         while i > 0 and factors[i][0] != w0 and (todo := _left_weight_pair(factors[i - 1], factors[i], todo)):
             i -= 1
         if factors[i][0] == w0:
@@ -341,6 +361,103 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
         while factors and factors[-1][0] == ident:
             factors.pop()
     out = tuple(tuple(_tau(p) if twists % 2 else p) for p, _ in factors)
+    return BraidNormalForm(n, delta + twists, out)
+
+
+def _normalize_tabled(n: int, letters: list[int]) -> BraidNormalForm:
+    """The same pass over simple braids interned as ints. Tables that live
+    for this one call answer each repeated step by one lookup: a factor and
+    a positive letter give the factor that absorbs the letter and whether
+    its left descents grew; a pair gives its left-weighted form, found on a
+    miss by _left_weight_pair at every position; a factor gives its
+    conjugate by Delta."""
+    perms: list[Perm] = []  # id -> permutation, and its inverse
+    inverses: list[Perm] = []
+    ids: dict[Perm, int] = {}
+
+    def intern(p: Sequence[int]) -> int:
+        p = tuple(p)
+        k = ids.get(p)
+        if k is None:
+            k = ids[p] = len(perms)
+            perms.append(p)
+            inverses.append(inverse_perm(p))
+        return k
+
+    # (x, j) -> (x o t_j, whether its left descents grew), or (-1, False)
+    # if j is a right descent of x
+    absorbed: dict[tuple[int, int], tuple[int, bool]] = {}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    taus: dict[int, int] = {}
+
+    def tau(f: int) -> int:
+        t = taus.get(f)
+        if t is None:
+            t = taus[f] = intern(_tau(perms[f]))
+        return t
+
+    ident = intern(range(n))
+    w0 = intern(_w0(n))
+    swapped = [list(range(n)) for _ in range(n - 1)]
+    for j, p in enumerate(swapped):
+        p[j], p[j + 1] = p[j + 1], p[j]
+    positive = [intern(p) for p in swapped]  # t_j, and Delta t_j for an inverse letter
+    negative = [intern(compose_perm(_w0(n), p)) for p in swapped]
+    inverses_right = sum(l < 0 for l in letters)
+    delta = -inverses_right
+    twists = 0
+    factors: list[int] = []
+    for l in letters:
+        inverses_right -= l < 0
+        j = abs(l) - 1
+        if (inverses_right + twists) % 2:
+            j = n - 2 - j
+        if l < 0 or not factors:
+            factors.append(positive[j] if l > 0 else negative[j])
+        else:
+            x = factors[-1]
+            step = absorbed.get((x, j))
+            if step is None:
+                p = list(perms[x])
+                if p[j] > p[j + 1]:
+                    step = (-1, False)
+                else:
+                    p[j], p[j + 1] = p[j + 1], p[j]
+                    y = intern(p)
+                    q, r = inverses[x], inverses[y]
+                    step = (y, any(r[k] > r[k + 1] and q[k] < q[k + 1] for k in range(n - 1)))
+                absorbed[x, j] = step
+            y, repair = step
+            if y < 0:
+                # (x, t_j) is left-weighted: nothing to repair
+                factors.append(positive[j])
+                continue
+            factors[-1] = y
+            if not repair:
+                # x o t_j has the left descents of x, which the factor
+                # before it covers; so it is no half twist either
+                continue
+        i = len(factors) - 1
+        while i and factors[i] != w0:
+            x, y = factors[i - 1], factors[i]
+            pair = pairs.get((x, y))
+            if pair is None:
+                xf = (list(perms[x]), list(inverses[x]))
+                yf = (list(perms[y]), list(inverses[y]))
+                moved = _left_weight_pair(xf, yf, list(range(n - 1)))
+                pair = pairs[x, y] = (intern(xf[0]), intern(yf[0])) if moved else (x, y)
+            if pair[0] == x:
+                break
+            factors[i - 1], factors[i] = pair
+            i -= 1
+        if factors[i] == w0:
+            # flip the stored parity; mirror the factors right of Delta
+            del factors[i]
+            twists += 1
+            factors[i:] = map(tau, factors[i:])
+        while factors and factors[-1] == ident:
+            factors.pop()
+    out = tuple(perms[tau(f) if twists % 2 else f] for f in factors)
     return BraidNormalForm(n, delta + twists, out)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohcheck.braid_core as bc
 from cohcheck.braid_core import (
     BraidNormalForm,
     BraidWord,
@@ -32,6 +34,9 @@ from cohcheck.braid_core import (
     perm_braid,
     perm_one_line,
     permute,
+    _TABLED_LETTERS_PER_SIMPLE,
+    _normalize_incremental,
+    _normalize_tabled,
     _w0,
 )
 from cohcheck.errors import ParseError, StructureError
@@ -411,6 +416,9 @@ GOLDEN_NF_WORDS = {
     "12x160_inv50": (12, 160, 0.5, 4),
     "16x400_inv50": (16, 400, 0.5, 5),
     "24x1200_positive": (24, 1200, 0.0, 6),
+    # long and narrow: the shapes of perfbench's deep_path and deep_edge
+    "2x1500_positive": (2, 1500, 0.0, 7),
+    "3x1200_inv30": (3, 1200, 0.3, 8),
 }
 GOLDEN_NF = json.loads((Path(__file__).resolve().parent / "golden_nf.json").read_text(encoding="utf-8"))
 
@@ -427,6 +435,119 @@ def nf_digest(nf: BraidNormalForm) -> dict:
 @pytest.mark.parametrize("name", sorted(GOLDEN_NF_WORDS))
 def test_normal_form_frozen(name: str) -> None:
     assert nf_digest(normalize_braid(seeded_word(*GOLDEN_NF_WORDS[name]))) == GOLDEN_NF[name]
+
+
+# -- the two passes of the normal form ----------------------------------------
+
+# normalize_braid sends a word to the tabled pass from this many letters on,
+# after free cancellation; both passes take any word, reduced or not
+def tabled_bound(n: int) -> int:
+    return _TABLED_LETTERS_PER_SIMPLE * math.factorial(n)
+
+
+def braid_relation_word(n: int, i: int) -> list[int]:
+    """s_i s_i+1 s_i (s_i+1 s_i s_i+1)^-1, the identity but not freely."""
+    return [i, i + 1, i, -(i + 1), -i, -(i + 1)] if n >= 3 else [i, -i]
+
+
+@pytest.mark.parametrize("inverse_share", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_passes_agree(n: int, inverse_share: float) -> None:
+    rng = random.Random(f"passes:{n}:{inverse_share}")
+    bound = tabled_bound(n)
+    # past the bound on 6 strands, the words below take ~0.7 s at one share
+    for length in (min(bound // 3, 400), bound + 7 if n < 6 or inverse_share == 0.3 else 1200):
+        w = list(seeded_word(n, length, inverse_share, rng.randrange(2**32)).letters)
+        nf = _normalize_tabled(n, w)
+        assert nf == _normalize_incremental(n, w), (n, length)
+        # the word, a braid relation and the word's inverse: the identity,
+        # and the passes cancel nothing freely
+        mid = braid_relation_word(n, rng.randrange(1, n - 1) if n > 2 else 1)
+        back = w + mid + [-l for l in reversed(w)]
+        assert _normalize_tabled(n, back) == _normalize_incremental(n, back) == BraidNormalForm(n, 0, ())
+        # half twists on k strands, put in at random places: each one that
+        # forms a half twist on all n strands is taken out of the factors
+        twisted = list(w)
+        for _ in range(4):
+            k = rng.randrange(2, n + 1)
+            off = rng.randrange(0, n - k + 1)
+            at = rng.randrange(len(twisted) + 1)
+            twisted[at:at] = [l + off for l in perm_braid(_w0(k)).letters]
+        tabled = _normalize_tabled(n, twisted)
+        assert tabled == _normalize_incremental(n, twisted), (n, length, "twisted")
+        # and one on all n strands at the end, which moves to the front
+        twisted += perm_braid(_w0(n)).letters
+        assert _normalize_tabled(n, twisted) == _normalize_incremental(n, twisted)
+        assert _normalize_tabled(n, twisted).delta_power == tabled.delta_power + 1
+
+
+@pytest.mark.parametrize(
+    "n, length, tabled",
+    [(2, 15, False), (2, 16, True), (3, 47, False), (3, 48, True), (4, 191, False), (4, 192, True),
+     (4, 31, False), (24, 88, False)],
+)
+def test_pass_is_chosen_by_letters_against_n_factorial(monkeypatch, n: int, length: int, tabled: bool) -> None:
+    """Positive words stay freely reduced. (4, 31) is as long as the
+    axiom_matrix files' goal sides get, and (24, 88) an axiom word."""
+    assert (length >= tabled_bound(n)) == tabled
+    taken = []
+    for name in ("_normalize_tabled", "_normalize_incremental"):
+
+        def recording(n, letters, name=name, original=getattr(bc, name)):
+            taken.append(name)
+            return original(n, letters)
+
+        monkeypatch.setattr(bc, name, recording)
+    w = seeded_word(n, length, 0.0, length)
+    assert normalize_braid(w) == _normalize_incremental(n, list(w.letters))
+    assert taken == ["_normalize_tabled" if tabled else "_normalize_incremental"]
+
+
+def deformed(letters: list[int], rng: random.Random) -> list[int]:
+    """The same braid by far commutations and braid relations, each tried
+    at every position once, left to right, where it leaves no letter next
+    to its inverse."""
+    out = list(letters)
+    for i in range(len(out) - 2):
+        a, b, c = out[i : i + 3]
+        if a == c and abs(abs(a) - abs(b)) == 1 and (a > 0) == (b > 0):
+            moved = [b, a, b]
+        elif abs(abs(a) - abs(b)) >= 2:
+            moved = [b, a, c]
+        else:
+            continue
+        near = out[max(i - 1, 0) : i] + moved + out[i + 3 : i + 4]
+        if rng.random() < 0.5 and all(x != -y for x, y in zip(near, near[1:])):
+            out[i : i + 3] = moved
+    return out
+
+
+# The oracle takes 20 to 40 ms to compare two 200-letter words. 200 letters
+# is past the tabled bound on 3 and 4 strands, since the words are freely
+# reduced.
+@pytest.mark.parametrize("n", [3, 4])
+def test_long_words_match_oracle(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(bc, "_normalize_incremental", None)  # every word here takes the tabled pass
+    rng = random.Random(f"long-oracle:{n}")
+    for trial in range(4):
+        letters: list[int] = []
+        while len(letters) < 200:
+            # positive braid relations need runs of one sign: 30 % inverse letters in runs
+            sign = -1 if rng.random() < 0.3 else 1
+            for _ in range(rng.randrange(1, 6)):
+                l = sign * rng.randrange(1, n)
+                if not letters or letters[-1] != -l:
+                    letters.append(l)
+        letters = letters[:200]
+        u = BraidWord(n, tuple(letters))
+        v = BraidWord(n, tuple(deformed(letters, rng)))
+        assert v.letters != u.letters
+        assert braid_equal(u, v) and braid_oracle.words_equal(u.letters, v.letters)
+        # one sign flipped, where it cancels with neither neighbour
+        at = next(i for i in range(rng.randrange(1, 199), 199) if -letters[i] not in (letters[i - 1], letters[i + 1]))
+        flipped = letters[:at] + [-letters[at]] + letters[at + 1 :]
+        x = BraidWord(n, tuple(flipped))
+        assert not braid_equal(u, x) and not braid_oracle.words_equal(u.letters, x.letters)
 
 
 # -- block braidings ----------------------------------------------------------

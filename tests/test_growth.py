@@ -7,12 +7,15 @@ summed over every call while a file is parsed, built and its goals
 explained. Each builder is wrapped in every cohcheck module that
 imported it. A linear family passes when each doubling multiplies every
 count by at most LINEAR. One family counts output bytes, whose size is
-itself the answer, and asserts their true, quadratic order.
+itself the answer, and asserts their true, quadratic order. Mixed-sign
+braid words count the pair repairs of the normal form on each of its two
+passes.
 """
 
 from __future__ import annotations
 
 import collections
+import random
 import sys
 
 import pytest
@@ -159,6 +162,39 @@ def test_pf_on_k_blocks_is_linear(monkeypatch, flavor, outer):
     for small, large in zip(counts, counts[1:]):
         for name in BUILDERS:
             assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
+
+
+def _mixed_sign_word(n: int, k: int) -> BraidWord:
+    """The first k letters of one seeded word, 30 % of them inverse."""
+    rng = random.Random(f"mixed-sign:{n}")
+    letters = [rng.randrange(1, n) * (-1 if rng.random() < 0.3 else 1) for _ in range(1200)]
+    return BraidWord(n, tuple(letters[:k]))
+
+
+@pytest.mark.parametrize("n, path", [(4, "_normalize_tabled"), (8, "_normalize_incremental")])
+def test_mixed_sign_words_are_linear(monkeypatch, n, path):
+    """The pair repairs that _left_weight_pair computes while a word is
+    normalized: every one on the incremental pass, and on the tabled pass
+    only each pair's first, so the count there levels off."""
+    k = 300
+    counts = []
+    for size in (k, 2 * k, 4 * k):
+        calls = collections.Counter()
+        with monkeypatch.context() as patch:
+            for name in ("_left_weight_pair", "_normalize_tabled", "_normalize_incremental"):
+                original = getattr(cohcheck.braid_core, name)
+
+                def counting(*args, name=name, original=original):
+                    calls[name] += 1
+                    return original(*args)
+
+                patch.setattr(cohcheck.braid_core, name, counting)
+            cohcheck.braid_core.normalize_braid(_mixed_sign_word(n, size))
+        assert calls[path] == 1
+        counts.append(calls["_left_weight_pair"])
+    assert counts[0] >= k // 10, counts
+    for small, large in zip(counts, counts[1:]):
+        assert large <= LINEAR * small, counts
 
 
 def _perm_reversal(k: int) -> str:
