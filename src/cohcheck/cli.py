@@ -35,6 +35,7 @@ import json
 import os
 import re
 import sys
+from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
@@ -68,6 +69,8 @@ from .ualg import (
     UFree,
     UId,
     ULetter,
+    UMor,
+    UObj,
     UPhiFree,
     UPhiQ,
     UPhiQInv,
@@ -505,13 +508,12 @@ def _check_flavor(f: tuple, env: _Env) -> None:
         raise ElabError("perm(..) is only available in the symmetric flavor", env.span)
 
 
-def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> tuple[FreeMor, Perm | None]:
+def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> FreeMor:
     """An id, braid-word or perm(..) factor as a free morphism on the word
-    x, with the permutation it was built from (None for id). part is
-    "inner" or "outer" for a part of pf(..), whose misfits it names, and ""
-    for a factor of a row, which is taken at its own width."""
+    x. part is "inner" or "outer" for a part of pf(..), whose misfits it
+    names, and "" for a factor of a row, which is taken at its own width."""
     if f[0] == "id":
-        return fmor_id(env.flavor, x), None
+        return fmor_id(env.flavor, x)
     if f[0] not in ("word", "perm"):
         where = "appear inside" if part == "inner" else "be the outer part of"
         raise ElabError(f"{f[0]} cannot {where} pf(..)", env.span)
@@ -528,14 +530,15 @@ def _free_mor(f: tuple, x: tuple[Label, ...], env: _Env, part: str) -> tuple[Fre
         word = tuple.__new__(BraidWord, (n, f[1]))
         p = braid_perm(word)
     content = p if env.flavor == "S" else word  # valid: the target is x permuted by p
-    return tuple.__new__(FreeMor, (env.flavor, x, tuple(permute(x, p)), content)), p
+    return tuple.__new__(FreeMor, (env.flavor, x, tuple(permute(x, p)), content))
 
 
-def _take_factor(f: tuple, letters: tuple[ULetter, ...], pos: int, final: bool, env: _Env) -> tuple[ULetter, ...]:
+def _take_factor(f: tuple, letters: UObj, pos: int, final: bool, env: _Env, builds: dict) -> UObj:
     """The chunk a factor consumes from pos, after every check that reads
     none of its letters: the flavor of a word or perm(..), the source names
-    of q and q^-1, the object names of braid(X, Y), and the width. The last
-    factor of a row, if it is id or a braid word, takes the rest."""
+    of q and q^-1, the objects of braid(X, Y), which builds keeps under the
+    factor, and the width. The last factor of a row, if it is id or a braid
+    word, takes the rest."""
     kind, rest = f[0], len(letters) - pos
     if kind == "id":
         count = rest if final else 1
@@ -552,7 +555,9 @@ def _take_factor(f: tuple, letters: tuple[ULetter, ...], pos: int, final: bool, 
     elif kind == "pf":
         count = len(f[2])
     elif kind == "braid":
-        count = len(_elab_obj(f[1], env)) + len(_elab_obj(f[2], env))
+        if (objs := builds.get(f)) is None:
+            objs = builds[f] = (_elab_obj(f[1], env), _elab_obj(f[2], env))
+        count = len(objs[0]) + len(objs[1])
     else:
         raise ElabError(f"unknown factor {kind!r}", env.span)
     if rest < count:
@@ -561,22 +566,33 @@ def _take_factor(f: tuple, letters: tuple[ULetter, ...], pos: int, final: bool, 
     return letters[pos : pos + count]
 
 
-def _elab_factor(f: tuple, chunk: tuple[ULetter, ...], env: _Env) -> tuple[object, tuple[ULetter, ...], int, Content]:
+def _pf(f: tuple, chunk: UObj, env: _Env) -> FreeMor2:
+    """A pf(..) factor on its chunk of formed letters."""
+    blocks = []
+    for letter in chunk:
+        if not isinstance(letter, PhiLetter):
+            raise ElabError(f"pf expects formed letters, found {format_uobj((letter,))}", env.span)
+        blocks.append(letter.word)
+    inners = tuple(_free_mor(g, w, env, "inner") for g, w in zip(f[2], blocks))
+    outer = _free_mor(f[1], tuple(u.target for u in inners), env, "outer")
+    # valid: the inners were built on the blocks and the outer on their targets
+    return tuple.__new__(FreeMor2, (env.flavor, tuple(blocks), outer.target, outer.content, inners))
+
+
+def _elab_factor(f: tuple, chunk: UObj, env: _Env, builds: dict) -> tuple[UObj, int, Content]:
     """A factor on the chunk _take_factor gave it, a result that depends on
-    nothing else: its term, its target letters, and the width and content
-    of its move on the chunk's labels; the content is None for an identity
-    (id, q, q^-1, an empty word, any factor in M)."""
+    nothing else: its target letters, and the width and content of its move
+    on the chunk's labels; the content is None for an identity (id, q,
+    q^-1, an empty word, any factor in M). A nonempty braid word or perm(..)
+    reads only the chunk's length: built on the positions 0 .. n-1, its
+    target says which position of the chunk each target letter comes from."""
     phi = env.phi
     if f[0] == "id" or f[0] == "word" and not f[1]:
-        return UId(normalize_uobj(chunk, phi)), chunk, len(uobj_dissolve(chunk, phi)), None
+        return chunk, len(uobj_dissolve(chunk, phi)), None
 
     if f[0] in ("word", "perm"):
-        # names were checked when the letters were made: only a formed letter not of length one is faulty
-        for letter in chunk:
-            if type(letter) is PhiLetter and len(letter.word) != 1:
-                raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
-        u, p = _free_mor(f, uobj_dissolve(chunk, phi), env, "")
-        return UFree(u), tuple(permute(chunk, p)), len(chunk), u.content
+        u = _free_mor(f, tuple(range(len(chunk))), env, "")
+        return u.target, len(chunk), u.content
 
     if f[0] in ("q", "qinv"):
         blocks = f[1]
@@ -587,27 +603,19 @@ def _elab_factor(f: tuple, chunk: tuple[ULetter, ...], env: _Env) -> tuple[objec
                     raise ElabError(
                         f"{format_uobj((letter,))} does not match the block ({' '.join(w)})", env.span
                     )
-            return UPhiQ(blocks), (PhiLetter(merged),), len(merged), None
+            return (PhiLetter(merged),), len(merged), None
         if not _letter_matches_block(chunk[0], merged, env):
             raise ElabError(
                 f"{format_uobj(chunk)} does not match the merged block ({' '.join(merged)})", env.span
             )
-        return UPhiQInv(blocks), tuple(PhiLetter(w) for w in blocks), len(merged), None
+        return tuple(PhiLetter(w) for w in blocks), len(merged), None
 
     if f[0] == "pf":
-        blocks = []
-        for letter in chunk:
-            if not isinstance(letter, PhiLetter):
-                raise ElabError(f"pf expects formed letters, found {format_uobj((letter,))}", env.span)
-            blocks.append(letter.word)
-        inners = tuple(_free_mor(g, w, env, "inner")[0] for g, w in zip(f[2], blocks))
-        outer = _free_mor(f[1], tuple(u.target for u in inners), env, "outer")[0]
-        # valid: the inners were built on the blocks and the outer on their targets
-        m2 = tuple.__new__(FreeMor2, (env.flavor, tuple(blocks), outer.target, outer.content, inners))
+        m2 = _pf(f, chunk, env)
         u = flatten_mu(m2)
-        return UPhiFree(m2), tuple(PhiLetter(w) for w in m2.target), len(u.source), u.content
+        return tuple(PhiLetter(w) for w in m2.target), len(u.source), u.content
 
-    xraw, yraw = _elab_obj(f[1], env), _elab_obj(f[2], env)  # braid(X, Y)
+    xraw, yraw = builds[f]  # braid(X, Y)
     k = len(xraw)
     got_x, got_y = normalize_uobj(chunk[:k], phi), normalize_uobj(chunk[k:], phi)
     x, y = normalize_uobj(xraw, phi), normalize_uobj(yraw, phi)
@@ -620,9 +628,9 @@ def _elab_factor(f: tuple, chunk: tuple[ULetter, ...], env: _Env) -> tuple[objec
     if env.flavor == "M":
         if x and y:
             raise ElabError("the plain flavor has no braiding", env.span)
-        return UId(x + y), chunk, m + n, None
+        return chunk, m + n, None
     content = (block_perm if env.flavor == "S" else block_braid)(m, n)
-    return UBraiding(x, y), chunk[k:] + chunk[:k], m + n, content
+    return chunk[k:] + chunk[:k], m + n, content
 
 
 def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> bool:
@@ -633,41 +641,79 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
     return False
 
 
-def _elab_mor(
-    ast: MorAst, raw: tuple[ULetter, ...], env: _Env, builds: dict
-) -> tuple[object, FreeMor, tuple[ULetter, ...]]:
-    """The term, its residue and its target letters. The residue, the term's
-    dissolution, is one fmor_join of the rows: each factor's content goes at
-    its label offset, and the source and target are the edge's letters
-    dissolved. builds maps each factor and chunk to its build; a build that
-    raises stores nothing."""
-    letters, composite, rows = raw, None, []
+def _elab_mor(ast: MorAst, raw: UObj, env: _Env, builds: dict) -> tuple[tuple, FreeMor, UObj]:
+    """The rows, each factor with its chunk in application order; the
+    residue, one fmor_join of the rows' contents at their label offsets
+    between the edge's letters dissolved; and the target letters. builds,
+    the file's memo, keeps a nonempty braid word or perm(..), whose move
+    reads no labels, by (factor, width), and any other factor's build by
+    (factor, chunk). A build that raises stores nothing."""
+    letters, rows, moves_rows = raw, [], []
     for row in reversed(ast[1]):
-        pos, off, terms, tgt_letters, moves = 0, 0, [], [], []
+        pos, off, kept, tgt_letters, moves = 0, 0, [], [], []
         for idx, f in enumerate(row[1]):
-            chunk = _take_factor(f, letters, pos, idx == len(row[1]) - 1, env)
-            build = builds.get((f, chunk))
+            chunk = _take_factor(f, letters, pos, idx == len(row[1]) - 1, env, builds)
+            if by_width := f[0] == "perm" or f[0] == "word" and f[1]:
+                # names were checked when the letters were made: only a formed letter not of length one is faulty
+                for letter in chunk:
+                    if type(letter) is PhiLetter and len(letter.word) != 1:
+                        raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
+            key = (f, len(chunk)) if by_width else (f, chunk)
+            build = builds.get(key)
             if build is None:
-                build = builds[f, chunk] = _elab_factor(f, chunk, env)
-            t, t_letters, width, content = build
+                build = builds[key] = _elab_factor(f, chunk, env, builds)
+            t_letters, width, content = build
+            tgt_letters += map(chunk.__getitem__, t_letters) if by_width else t_letters
             if content is not None:
                 moves.append((off, content))
             pos += len(chunk)
             off += width
-            terms.append(t)
-            tgt_letters += t_letters
+            kept.append((f, chunk))
         if pos < len(letters):
             raise ElabError(
                 f"{len(letters) - pos} source letters not consumed, starting at "
                 f"{format_uobj((letters[pos],))}", env.span
             )
-        term = terms[-1]
-        for t in reversed(terms[:-1]):
-            term = UTensor(t, term)
-        composite = term if composite is None else UCompose(term, composite)
-        rows.append(moves)
+        rows.append(tuple(kept))
+        moves_rows.append(moves)
         letters = tuple(tgt_letters)
-    return composite, fmor_join(env.flavor, uobj_dissolve(raw, env.phi), uobj_dissolve(letters, env.phi), rows), letters
+    residue = fmor_join(env.flavor, uobj_dissolve(raw, env.phi), uobj_dissolve(letters, env.phi), moves_rows)
+    return tuple(rows), residue, letters
+
+
+def _factor_term(f: tuple, chunk: UObj, env: _Env) -> UMor:
+    """The term of a factor built on the chunk."""
+    if f[0] == "id" or f[0] == "word" and not f[1]:
+        return UId(normalize_uobj(chunk, env.phi))
+    if f[0] in ("word", "perm"):
+        return UFree(_free_mor(f, uobj_dissolve(chunk, env.phi), env, ""))
+    if f[0] in ("q", "qinv"):
+        return (UPhiQ if f[0] == "q" else UPhiQInv)(f[1])
+    if f[0] == "pf":
+        return UPhiFree(_pf(f, chunk, env))
+    k = len(_elab_obj(f[1], env))  # braid(X, Y)
+    x, y = normalize_uobj(chunk[:k], env.phi), normalize_uobj(chunk[k:], env.phi)
+    return UId(x + y) if env.flavor == "M" else UBraiding(x, y)
+
+
+class _ParsedEdge(Edge):
+    """An edge of a parsed file: its fourth field holds the rows _elab_mor
+    kept, read in env. The term is derived from them when first read, and
+    kept: each row is the tensor of its factors, composed in order.
+    _replace gives a hand-built Edge that carries the derived term."""
+
+    @cached_property
+    def term(self) -> UMor:
+        composite = None
+        for row in self[3]:
+            *left, term = (_factor_term(f, chunk, self.env) for f, chunk in row)
+            for t in reversed(left):
+                term = UTensor(t, term)
+            composite = term if composite is None else UCompose(term, composite)
+        return composite
+
+    def _replace(self, **fields) -> Edge:
+        return Edge(*self[:3], self.term)._replace(**fields)
 
 
 def build_diagram(sf: SourceFile) -> Diagram:
@@ -688,14 +734,18 @@ def build_diagram(sf: SourceFile) -> Diagram:
         nodes[name] = normalize_uobj(raw_nodes[name], phi)
 
     residues: dict[str, tuple[Edge, FreeMor]] = {}  # each edge with its dissolved term
-    builds: dict = {}  # (factor, chunk) -> its build, for every edge of this file
+    # for every edge of this file: (factor, width) -> a word's or perm's build,
+    # (factor, chunk) -> any other factor's, braid(X, Y) -> its objects
+    builds: dict = {}
     for name, esrc, etgt, ast in sf.edges:
         env = _Env(phi, sf.flavor, mapname, sf.spans.get(("edge", name)))
-        term, residue, raw_tgt = _elab_mor(ast, raw_nodes[esrc], env, builds)
+        rows, residue, raw_tgt = _elab_mor(ast, raw_nodes[esrc], env, builds)
         if (tgt := normalize_uobj(raw_tgt, phi)) != nodes[etgt]:
             message = f"edge {name} ends at {format_uobj(tgt)}, node {etgt} is {format_uobj(nodes[etgt])}"
             raise ElabError(message, env.span)
-        residues[name] = (Edge(name, esrc, etgt, term), residue)
+        e = _ParsedEdge(name, esrc, etgt, rows)
+        e.env = env
+        residues[name] = (e, residue)
 
     functor: FunctorSpec | None = None
     built: dict[str, FunctorSpec] = {}

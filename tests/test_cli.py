@@ -25,7 +25,7 @@ from cohcheck.cli import (
 )
 from cohcheck import cli, ualg
 from cohcheck.diagram_check import (
-    EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, Diagram, check_goal, explain_goal, validate_diagram,
+    EQUAL, EQUAL_IN_S_ONLY, NOT_EQUAL, Diagram, Edge, check_goal, explain_goal, validate_diagram,
 )
 from cohcheck.errors import ElabError, ParseError, SourceSpan, StructureError
 from cohcheck.ualg import dissolve
@@ -657,6 +657,24 @@ def test_each_edge_is_typed_once(monkeypatch, shape):
         assert typed == collections.Counter({id(e.term): 1 for e in d.edges.values()})
 
 
+@pytest.mark.parametrize("path", [FIXTURES / "mystery1.coh", LONG / "braided4.coh"], ids=lambda p: p.name)
+def test_build_and_explain_make_no_term_tree(monkeypatch, path):
+    """A parsed edge keeps its rows: building the file and explaining its
+    goals make no UTensor, UCompose or UFree. The term is derived from the
+    rows when it is first read, and the same term is read after that."""
+    made = _count_calls(monkeypatch, ("UTensor", "UCompose", "UFree"))
+    d = build_diagram(parse_source(path.read_text(encoding="utf-8")))
+    for g in d.goals:
+        explain_goal(d, g)
+    assert made == collections.Counter()
+    terms = [e.term for e in d.edges.values()]
+    assert made["UTensor"] + made["UCompose"] + made["UFree"] > 0  # the counters see the derivation
+    assert all(e.term is t for e, t in zip(d.edges.values(), terms))
+    # a replaced parsed edge is a hand-built one, carrying the derived term
+    e = next(iter(d.edges.values()))
+    assert e._replace(name="x") == Edge("x", e.source, e.target, terms[0])
+
+
 @pytest.mark.parametrize("flavor, swap", [("braided", "s1"), ("symmetric", "perm(2 1)")])
 def test_formed_letter_stays_formed_through_a_braid_factor(tmp_path, flavor, swap):
     # the swap's target letters are its source letters moved, so phi(a)
@@ -693,22 +711,59 @@ def _count_braid_perm(monkeypatch) -> list:
     return calls
 
 
+def _deep_edge(k: int, node: str) -> str:
+    """One edge of k one-letter rows over s1, s2, s1^-1 and s2^-1 on the 3
+    letters of node; for k a multiple of 12 it ends where it starts."""
+    rows = " . ".join(("s1", "s2", "s1^-1", "s2^-1")[i % 4] for i in range(k))
+    return _tiny(f"node n = {node}\nedge e : n -> n = {rows}\ngoal g : e == e\n")
+
+
 @pytest.mark.parametrize("source, distinct", [
-    (fixture_text("pair.coh"), 4), (fixture_text("cursed_cyclic.coh"), 4), (_tiny(_ROWS), 3),
-    (_tiny(_ROWS, "symmetric"), 3), (_tiny(_REPEATS), 2), (_tiny(_REPEATS, "symmetric"), 2),
-], ids=["pair", "cursed_cyclic", "braided_rows", "symmetric_rows", "braided_repeats", "symmetric_repeats"])
+    (fixture_text("pair.coh"), 3), (fixture_text("cursed_cyclic.coh"), 4), (_tiny(_ROWS), 2),
+    (_tiny(_ROWS, "symmetric"), 2), (_tiny(_REPEATS), 2), (_tiny(_REPEATS, "symmetric"), 2),
+    (_deep_edge(48, "[fa fa fa]"), 4), (_deep_edge(48, "[fa fb fa]"), 4),
+    (_deep_edge(48, "phi(a) ; [fb] ; phi(b)"), 4),
+], ids=[
+    "pair", "cursed_cyclic", "braided_rows", "symmetric_rows", "braided_repeats", "symmetric_repeats",
+    "deep_edge_one_label", "deep_edge_two_labels", "deep_edge_formed_letters",
+])
 def test_each_braid_word_factor_is_permuted_once(monkeypatch, source, distinct):
     """Elaboration computes a braid-word factor's permutation once per
-    distinct word and consumed letters in a file, and builds both its
-    morphism and its target letters from it. The sources have braid words
-    only as factors of rows, not as parts of pf(..); cursed_cyclic repeats
-    two words on the same letters in other edges, and _REPEATS repeats one
-    in another row of the same edge and in another edge."""
+    distinct word and width in a file, whatever letters it moves: the
+    labels are only permuted. The sources have braid words only as factors
+    of rows, not as parts of pf(..). pair uses "s2" at width 4 in two
+    edges, on different letters; cursed_cyclic repeats two words on the
+    same letters in other edges; _ROWS uses s1 at width 2 in both of its
+    outer rows; _REPEATS repeats one word in another row of the same edge
+    and in another edge; and each row of a deep edge moves the letters
+    that the row before it left, four words at width 3."""
     sf = parse_source(source)
     words = [f for *_, ast in sf.edges for row in ast[1] for f in row[1] if f[0] == "word" and f[1]]
     calls = _count_braid_perm(monkeypatch)
     build_diagram(sf)
-    assert len(words) >= len(calls) == distinct
+    assert len(words) >= len(calls) == len(set(calls)) == distinct
+
+
+def test_each_braid_factor_elaborates_its_objects_once(monkeypatch):
+    """braid(X, Y) elaborates X and Y once per file, to count its chunk
+    and to build it: here 2 nodes, then 2 distinct braid factors, one used
+    four times over two edges and the other twice in one row."""
+    text = _tiny(
+        "node n = [fa fb fa fb]\nnode m = [fb fa fb fa]\n"
+        "edge e : n -> m = braid([fa], [fb]) ; braid([fa], [fb])\n"
+        "edge h : n -> m = braid([fa], [fb]) ; braid([fa], [fb])\n"
+        "edge f : m -> n = braid([fb], [fa]) ; braid([fb], [fa])\ngoal g : f . e == f . h\n"
+    )
+    calls = []
+    elab_obj = cli._elab_obj
+
+    def counting(ast, env):
+        calls.append(ast)
+        return elab_obj(ast, env)
+
+    monkeypatch.setattr(cli, "_elab_obj", counting)
+    build_diagram(parse_source(text))
+    assert len(calls) == 2 + 2 * 2
 
 
 def test_each_build_elaborates_afresh(monkeypatch):
@@ -754,11 +809,12 @@ def test_each_edge_residue_is_joined_without_binary_calls(monkeypatch, source):
 
 
 def _count_calls(monkeypatch, names) -> collections.Counter:
-    """Count calls of the named free_cat or braid_core functions, wrapped
-    in every cohcheck module that imported them."""
+    """Count calls of the named free_cat, ualg or braid_core functions or
+    classes, wrapped in every cohcheck module that imported them."""
     calls = collections.Counter()
     for name in names:
-        original = getattr(cohcheck.free_cat, name, None) or getattr(cohcheck.braid_core, name)
+        original = getattr(cohcheck.free_cat, name, None) or getattr(cohcheck.ualg, name, None)
+        original = original or getattr(cohcheck.braid_core, name)
 
         def counting(*args, name=name, original=original):
             calls[name] += 1

@@ -164,6 +164,25 @@ def test_pf_on_k_blocks_is_linear(monkeypatch, flavor, outer):
             assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
 
 
+def _braid_of_width(flavor: str, k: int) -> str:
+    """One edge braid([fa], Y) with Y of k letters, formed phi(a a) and
+    plain fa by turns, so that the braid passes one strand over 3k/2."""
+    y = " ; ".join(["phi(a a) ; [fa]"] * (k // 2))
+    body = f"node n = [fa] ; {y}\nnode m = {y} ; [fa]\nedge e : n -> m = braid([fa], {y})\ngoal g : e == e\n"
+    return _file(flavor, body)
+
+
+@pytest.mark.parametrize("flavor", ["braided", "symmetric"])
+def test_braid_of_width_k_is_linear(monkeypatch, flavor):
+    k = 20
+    counts = [_letters_handed(monkeypatch, _braid_of_width(flavor, size)) for size in (k, 2 * k, 4 * k)]
+    # the counters see the width: both sides carry the block braid's 3k/2 letters or strands
+    assert counts[0]["fmor_join"] >= 2 * 3 * k // 2
+    for small, large in zip(counts, counts[1:]):
+        for name in BUILDERS:
+            assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
+
+
 def _mixed_sign_word(n: int, k: int) -> BraidWord:
     """The first k letters of one seeded word, 30 % of them inverse."""
     rng = random.Random(f"mixed-sign:{n}")
