@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 from typing import NamedTuple, Sequence
 
@@ -202,12 +203,8 @@ def cable_perm(p: Perm, sizes: list[int]) -> Perm:
     """The permutation of cable(w, sizes) depends on w only through p."""
     if len(sizes) != len(p):
         raise StructureError(f"cannot cable {len(p)} strands by sizes {sizes}")
-    tgt_sizes = permute(sizes, p)
-    src_off = [0] * len(p)
-    tgt_off = [0] * len(p)
-    for i in range(1, len(p)):
-        src_off[i] = src_off[i - 1] + sizes[i - 1]
-        tgt_off[i] = tgt_off[i - 1] + tgt_sizes[i - 1]
+    src_off = list(accumulate(sizes, initial=0))
+    tgt_off = list(accumulate(permute(sizes, p), initial=0))
     out = [0] * sum(sizes)
     for i in range(len(p)):
         for r in range(sizes[i]):

@@ -167,6 +167,15 @@ class _Cursor:
         self.expect(closer)
         return tuple(names)
 
+    def items(self, read: Callable[[_Cursor], object], sep: str) -> tuple:
+        """One or more items, each read by read, up to the first that sep
+        does not follow."""
+        items = [read(self)]
+        while self.peek() == sep:
+            self.i += 1
+            items.append(read(self))
+        return tuple(items)
+
 
 # -- source model ----------------------------------------------------------------
 
@@ -218,20 +227,14 @@ def _parse_letters(texts: list[str], i: int, cur: _Cursor, at: int | None = None
     return letters, i
 
 
-def _parse_obj(cur: _Cursor) -> ObjAst:
-    items = []
-    while True:
-        t = cur.next()
-        if t == "[":
-            items.append(("letters", cur.names("]")))
-        elif _NAME_RE.fullmatch(t) and cur.peek() == "(":
-            cur.i += 1
-            items.append(("block", t, cur.names(")")))
-        else:
-            raise cur.error(f"expected an object item, found {t!r}")
-        if cur.peek() != ";":
-            return tuple(items)
+def _parse_obj_item(cur: _Cursor) -> tuple:
+    t = cur.next()
+    if t == "[":
+        return ("letters", cur.names("]"))
+    if _NAME_RE.fullmatch(t) and cur.peek() == "(":
         cur.i += 1
+        return ("block", t, cur.names(")"))
+    raise cur.error(f"expected an object item, found {t!r}")
 
 
 def _parse_block_list(cur: _Cursor) -> tuple[tuple[str, ...], ...]:
@@ -293,33 +296,21 @@ def _parse_factor(cur: _Cursor) -> tuple:
         cur.expect(";")
         cur.expect("inner")
         cur.expect("=")
-        inners = [_parse_factor(cur)]
-        while cur.peek() == ",":
-            cur.i += 1
-            inners.append(_parse_factor(cur))
+        inners = cur.items(_parse_factor, ",")
         cur.expect(")")
-        return ("pf", outer, tuple(inners))
+        return ("pf", outer, inners)
     if t == "braid":
         cur.expect("(")
-        x = _parse_obj(cur)
+        x = cur.items(_parse_obj_item, ";")
         cur.expect(",")
-        y = _parse_obj(cur)
+        y = cur.items(_parse_obj_item, ";")
         cur.expect(")")
         return ("braid", x, y)
     raise cur.error(f"expected a morphism factor, found {t!r}")
 
 
-def _parse_mor(cur: _Cursor) -> MorAst:
-    rows = []
-    while True:
-        factors = [_parse_factor(cur)]
-        while cur.peek() == ";":
-            cur.i += 1
-            factors.append(_parse_factor(cur))
-        rows.append(("tensor", tuple(factors)))
-        if cur.peek() != ".":
-            return ("compose", tuple(rows))
-        cur.i += 1
+def _parse_row(cur: _Cursor) -> tuple:
+    return ("tensor", cur.items(_parse_factor, ";"))
 
 
 def parse_source(text: str) -> SourceFile:
@@ -378,14 +369,14 @@ def parse_source(text: str) -> SourceFile:
             objmap = (name, src, tgt, tuple(pairs))
         elif head == "node":
             cur.expect("=")
-            nodes.append((name, _parse_obj(cur)))
+            nodes.append((name, cur.items(_parse_obj_item, ";")))
         elif head == "edge":
             cur.expect(":")
             src = cur.name("a node")
             cur.expect("->")
             tgt = cur.name("a node")
             cur.expect("=")
-            edges.append((name, src, tgt, _parse_mor(cur)))
+            edges.append((name, src, tgt, ("compose", cur.items(_parse_row, "."))))
         elif head == "functor":
             cur.expect("=")
             kind = cur.next()
@@ -417,17 +408,9 @@ def parse_source(text: str) -> SourceFile:
             interps.append((name, cur.names("]")))
         elif head == "goal":
             cur.expect(":")
-
-            def path() -> tuple[str, ...]:
-                steps = [cur.name("an edge")]
-                while cur.peek() == ".":
-                    cur.i += 1
-                    steps.append(cur.name("an edge"))
-                return tuple(steps)
-
-            left = path()
+            left = cur.items(lambda c: c.name("an edge"), ".")
             cur.expect("==")
-            right = path()
+            right = cur.items(lambda c: c.name("an edge"), ".")
             goals.append((name, left, right))
         else:
             raise cur.error(f"unknown declaration {head!r}", 0)
@@ -700,7 +683,9 @@ class _ParsedEdge(Edge):
     """An edge of a parsed file: its fourth field holds the rows _elab_mor
     kept, read in env. The term is derived from them when first read, and
     kept: each row is the tensor of its factors, composed in order.
-    _replace gives a hand-built Edge that carries the derived term."""
+    repr, _asdict() and tuple unpacking read the tuple, so they show the
+    rows; .term is the way to read the term. _replace gives a hand-built
+    Edge that carries the derived term."""
 
     @cached_property
     def term(self) -> UMor:
@@ -781,29 +766,13 @@ def render_braid_ascii(w: BraidWord, labels: Sequence[str]) -> str:
     ``+`` (left strand passing under), the inverse with ``-``."""
     if len(labels) != w.n:
         raise StructureError(f"{len(labels)} labels for {w.n} strands")
-    col = lambda j: 4 * j  # noqa: E731
-    width = col(max(w.n - 1, 0)) + 1
-    header = [" "] * (width + 3)
-    for j, label in enumerate(labels):
-        for k, ch in enumerate(label[:3]):
-            header[col(j) + k] = ch
-    lines = ["".join(header).rstrip()]
-
-    def bars() -> list[str]:
-        row = [" "] * width
-        for j in range(w.n):
-            row[col(j)] = "|"
-        return row
-
+    lines = ["".join(f"{label[:3]:<4}" for label in labels).rstrip()]
     if not w.letters:
-        lines.append("".join(bars()).rstrip())
+        lines.append(("|   " * w.n).rstrip())
     for letter in reversed(w.letters):
         i = abs(letter) - 1
-        row = bars()
-        row[col(i)] = "\\"
-        row[col(i + 1)] = "/"
-        row[col(i) + 2] = "+" if letter > 0 else "-"
-        lines.append("".join(row).rstrip())
+        crossing = "\\ + /" if letter > 0 else "\\ - /"
+        lines.append(("|   " * i + crossing + "   |" * (w.n - i - 2)).rstrip())
     return "\n".join(lines)
 
 

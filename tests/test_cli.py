@@ -166,6 +166,36 @@ def test_bare_word_errors_point_at_their_letter(expr, message, col):
     assert (exc.value.message, exc.value.span.line, exc.value.span.col) == (message, 1, col)
 
 
+# each separated list (object items, rows, factors, pf(..) inners, goal
+# sides) ended by its separator, with the separator doubled, or empty
+SEPARATED_LIST_ERRORS = [
+    ("node x = [a] ;", "unexpected end of line", 15),
+    ("edge e : n -> n = id ;", "unexpected end of line", 23),
+    ("edge e : n -> n = id .", "unexpected end of line", 23),
+    ("edge e : n -> n = id ; # note", "unexpected end of line", 24),
+    ("edge e : n -> n = pf(outer=id; inner=id,", "unexpected end of line", 41),
+    ("goal g : e .", "unexpected end of line", 13),
+    ("goal g : e == e .", "unexpected end of line", 18),
+    ("node x = [a] ;; [b]", "expected an object item, found ';'", 15),
+    ("edge e : n -> n = braid([a] ;, [b])", "expected an object item, found ','", 30),
+    ("edge e : n -> n = id ;; id", "expected a morphism factor, found ';'", 23),
+    ("edge e : n -> n = id .. id", "expected a morphism factor, found '.'", 23),
+    ("edge e : n -> n = pf(outer=id; inner=id,, id)", "expected a morphism factor, found ','", 41),
+    ("goal g : e .. e == e", "expected an edge, found '.'", 13),
+    ("goal g : e == e .. e", "expected an edge, found '.'", 18),
+    ("goal g : == e", "expected an edge, found '=='", 10),
+    ("goal g : e ==", "unexpected end of line", 14),
+    ("edge e : n -> n = pf(outer=id; inner=)", "expected a morphism factor, found ')'", 38),
+]
+
+
+@pytest.mark.parametrize("text, message, col", SEPARATED_LIST_ERRORS, ids=[t for t, *_ in SEPARATED_LIST_ERRORS])
+def test_separated_list_error_spans(text, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert (exc.value.message, exc.value.span.line, exc.value.span.col) == (message, 1, col)
+
+
 def test_bad_characters_in_comments_are_ignored():
     sf = parse_source('flavor braided # $ @ \u00e9 "\ngens A = { a } # bad $ here\n')
     assert (sf.flavor, sf.gens) == ("B", (("A", ("a",)),))
@@ -1112,3 +1142,22 @@ def test_render_same_word_same_picture():
     v = parse_braid("s2 s1 s2", 3)
     assert braid_equal(w, parse_braid("s1 s2 s1", 3))
     assert render_braid_ascii(w, ["x", "y", "z"]) == render_braid_ascii(v, ["x", "y", "z"])
+
+
+@pytest.mark.parametrize("labels, header", [
+    (["abc", "abcd", "abcdef"], "abc abc abc"),
+    (["a", "abcdef", "ab"], "a   abc ab"),
+    (["abcdef", "a", "b"], "abc a   b"),
+])
+def test_render_truncates_and_pads_labels(labels, header):
+    assert render_braid_ascii(parse_braid("s2 s1", 3), labels).splitlines() == [header, "\\ + /   |", "|   \\ + /"]
+
+
+def test_render_empty_word_on_zero_and_one_strands():
+    assert render_braid_ascii(BraidWord(0, ()), []) == "\n"
+    assert render_braid_ascii(BraidWord(1, ()), ["long"]) == "lon\n|"
+
+
+def test_render_crossing_on_the_last_strand_pair():
+    out = render_braid_ascii(BraidWord(4, (3, -3, 1)), ["a", "b", "c", "d"])
+    assert out == "a   b   c   d\n\\ + /   |   |\n|   |   \\ - /\n|   |   \\ + /"
