@@ -280,25 +280,30 @@ def _tau(p: list[int]) -> list[int]:
 _TABLED_LETTERS_PER_SIMPLE = 8
 
 
-def normalize_braid(w: BraidWord) -> BraidNormalForm:
+def normalize_braid(w: BraidWord, tables: dict | None = None) -> BraidNormalForm:
     """Left-greedy normal form: Delta^k f_1 ... f_r with each f_i a
     permutation braid, no f_i trivial or the half twist, and each
     consecutive pair left-weighted. Words are equal in B_n iff their
-    normal forms coincide."""
+    normal forms coincide. tables, kept by the caller across words, holds
+    the tabled pass's tables for each strand count; without it a call
+    makes its own."""
     n = w.n
     if n <= 1:
         return BraidNormalForm(n, 0, ())
-    # free cancellation first: each inverse letter costs a near-Delta factor
-    letters: list[int] = []
-    for l in w.letters:
-        if letters and letters[-1] == -l:
-            letters.pop()
-        else:
-            letters.append(l)
+    letters: Sequence[int] = w.letters
+    if letters and min(letters) < 0:
+        # free cancellation first: each inverse letter costs a near-Delta
+        # factor, and a positive word has nothing to cancel
+        letters = []
+        for l in w.letters:
+            if letters and letters[-1] == -l:
+                letters.pop()
+            else:
+                letters.append(l)
     # a word long against the simple braids repeats its steps, so tables
     # pay; on a short or wide word filling them costs more than they save
     if len(letters) >= _TABLED_LETTERS_PER_SIMPLE * factorial(n):
-        return _normalize_tabled(n, letters)
+        return _normalize_tabled(n, letters, tables)
     return _normalize_incremental(n, letters)
 
 
@@ -314,7 +319,7 @@ def normalize_braid(w: BraidWord) -> BraidNormalForm:
 # al. 1992, ch. 9).
 
 
-def _normalize_incremental(n: int, letters: list[int]) -> BraidNormalForm:
+def _normalize_incremental(n: int, letters: Sequence[int]) -> BraidNormalForm:
     """Each factor is a mutable pair of lists, and each step repairs only
     the positions that the strands it moved can have broken."""
     inverses_right = sum(l < 0 for l in letters)
@@ -361,16 +366,20 @@ def _normalize_incremental(n: int, letters: list[int]) -> BraidNormalForm:
     return BraidNormalForm(n, delta + twists, out)
 
 
-def _normalize_tabled(n: int, letters: list[int]) -> BraidNormalForm:
-    """The same pass over simple braids interned as ints. Tables that live
-    for this one call answer each repeated step by one lookup: a factor and
-    a positive letter give the factor that absorbs the letter and whether
-    its left descents grew; a pair gives its left-weighted form, found on a
-    miss by _left_weight_pair at every position; a factor gives its
-    conjugate by Delta."""
-    perms: list[Perm] = []  # id -> permutation, and its inverse
-    inverses: list[Perm] = []
-    ids: dict[Perm, int] = {}
+def _normalize_tabled(n: int, letters: Sequence[int], tables: dict | None = None) -> BraidNormalForm:
+    """The same pass over simple braids interned as ints. Tables answer
+    each repeated step by one lookup: a factor and a positive letter give
+    the factor that absorbs the letter and whether its left descents grew;
+    a pair gives its left-weighted form, found on a miss by
+    _left_weight_pair at every position; a factor gives its conjugate by
+    Delta. They belong to n, not to the word, so tables[n] keeps them for
+    the next word; without tables they live for this one call."""
+    # id -> permutation and its inverse; permutation -> id; (x, j) -> (x o
+    # t_j, whether its left descents grew), or (-1, False) if j is a right
+    # descent of x; a pair -> its left-weighted form; f -> its conjugate
+    perms, inverses, ids, absorbed, pairs, taus = ({} if tables is None else tables).setdefault(
+        n, ([], [], {}, {}, {}, {})
+    )
 
     def intern(p: Sequence[int]) -> int:
         p = tuple(p)
@@ -380,12 +389,6 @@ def _normalize_tabled(n: int, letters: list[int]) -> BraidNormalForm:
             perms.append(p)
             inverses.append(inverse_perm(p))
         return k
-
-    # (x, j) -> (x o t_j, whether its left descents grew), or (-1, False)
-    # if j is a right descent of x
-    absorbed: dict[tuple[int, int], tuple[int, bool]] = {}
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    taus: dict[int, int] = {}
 
     def tau(f: int) -> int:
         t = taus.get(f)

@@ -36,7 +36,7 @@ import os
 import re
 import sys
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -101,24 +101,26 @@ _DECLARED_NAMES = {
 }
 
 
-def _tokenize_line(line: str, lineno: int) -> list[str]:
+def _tokenize_line(line: str, lineno: int) -> tuple[str, ...]:
     code = line.split("#", 1)[0]
     texts = _TOKEN_RE.findall(code)
     if "" in texts:
         m = next(islice(_TOKEN_RE.finditer(code), texts.index(""), None))
         raise ParseError(f"unexpected character {code[m.end() - 1]!r}", SourceSpan(lineno, m.end()))
-    return texts
+    return tuple(texts)
 
 
 class _Cursor:
     """The token texts of one line, with one-token lookahead. A token's
-    column is found again from the line, only when a span needs it."""
+    column is found again from the line, only when a span needs it. rows
+    is the memo of one parse_source call (_parse_row)."""
 
-    def __init__(self, texts: list[str], line: str, lineno: int) -> None:
+    def __init__(self, texts: tuple[str, ...], line: str, lineno: int, rows: dict) -> None:
         self.texts = texts
         self.i = 0
         self.line = line
         self.lineno = lineno
+        self.rows = rows
 
     def span(self, i: int) -> SourceSpan:
         """Where token i starts; past the last token, just past the code
@@ -213,7 +215,7 @@ def _number(digits: str, cur: _Cursor, i: int) -> int:
         raise cur.error(f"a number of {len(digits)} digits is too long", i) from None
 
 
-def _parse_letters(texts: list[str], i: int, cur: _Cursor, at: int | None = None) -> tuple[list[int], int]:
+def _parse_letters(texts: Sequence[str], i: int, cur: _Cursor, at: int | None = None) -> tuple[list[int], int]:
     """The braid letters of texts[i:] up to the first text that is none,
     and that text's index. Errors point at token at, by default at the
     letter's own token."""
@@ -310,7 +312,26 @@ def _parse_factor(cur: _Cursor) -> tuple:
 
 
 def _parse_row(cur: _Cursor) -> tuple:
-    return ("tensor", cur.items(_parse_factor, ";"))
+    """A row, looked up first by its tokens up to the next "." or the end
+    of the line, which no factor contains. The memo lives for one
+    parse_source call: a row parsed once is handed back again, the same
+    tuple, for the same tokens. A parse that raises, or stops short of its
+    span, stores nothing, so every error and its column is the parse's
+    own."""
+    texts, i = cur.texts, cur.i
+    try:
+        end = texts.index(".", i)
+    except ValueError:  # the last row
+        end = len(texts)
+    key = texts[i:end]
+    row = cur.rows.get(key)
+    if row is not None:
+        cur.i = end
+        return row
+    row = ("tensor", cur.items(_parse_factor, ";"))
+    if cur.i == end:
+        cur.rows[key] = row
+    return row
 
 
 def parse_source(text: str) -> SourceFile:
@@ -325,12 +346,13 @@ def parse_source(text: str) -> SourceFile:
     interps: list[tuple[str, tuple[str, ...]]] = []
     goals: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
     spans: dict[tuple[str, str], SourceSpan] = {}
+    rows: dict[tuple[str, ...], tuple] = {}  # the memo of _parse_row
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         texts = _tokenize_line(line, lineno)
         if not texts:
             continue
-        cur = _Cursor(texts, line, lineno)
+        cur = _Cursor(texts, line, lineno, rows)
         head = cur.next()
         if head == "map" and objmap is not None:
             raise cur.error("a file declares a single map")
@@ -549,27 +571,34 @@ def _take_factor(f: tuple, letters: UObj, pos: int, final: bool, env: _Env, buil
     return letters[pos : pos + count]
 
 
-def _pf(f: tuple, chunk: UObj, env: _Env) -> FreeMor2:
-    """A pf(..) factor on its chunk of formed letters."""
-    blocks = []
+def _formed_words(chunk: UObj, env: _Env) -> tuple[tuple[str, ...], ...]:
+    """The words of a pf(..) factor's chunk, which holds formed letters only."""
     for letter in chunk:
         if not isinstance(letter, PhiLetter):
             raise ElabError(f"pf expects formed letters, found {format_uobj((letter,))}", env.span)
-        blocks.append(letter.word)
+    return tuple(letter.word for letter in chunk)
+
+
+def _pf(f: tuple, blocks: tuple[tuple[Label, ...], ...], env: _Env) -> FreeMor2:
+    """A pf(..) factor on the blocks, one per formed letter of its chunk."""
     inners = tuple(_free_mor(g, w, env, "inner") for g, w in zip(f[2], blocks))
     outer = _free_mor(f[1], tuple(u.target for u in inners), env, "outer")
     # valid: the inners were built on the blocks and the outer on their targets
-    return tuple.__new__(FreeMor2, (env.flavor, tuple(blocks), outer.target, outer.content, inners))
+    return tuple.__new__(FreeMor2, (env.flavor, blocks, outer.target, outer.content, inners))
 
 
-def _elab_factor(f: tuple, chunk: UObj, env: _Env, builds: dict) -> tuple[UObj, int, Content]:
-    """A factor on the chunk _take_factor gave it, a result that depends on
-    nothing else: its target letters, and the width and content of its move
-    on the chunk's labels; the content is None for an identity (id, q,
-    q^-1, an empty word, any factor in M). A nonempty braid word or perm(..)
+def _elab_factor(key: tuple, chunk: UObj, env: _Env, builds: dict) -> tuple[UObj, int, Content]:
+    """A factor, key[0], on the chunk _take_factor gave it, built for its
+    key in builds (_elab_mor); a result that depends on nothing else: its
+    target letters, and the width and content of its move on the chunk's
+    labels; the content is None for an identity (id, q, q^-1, an empty
+    word, any factor in M). A nonempty braid word or perm(..)
     reads only the chunk's length: built on the positions 0 .. n-1, its
-    target says which position of the chunk each target letter comes from."""
-    phi = env.phi
+    target says which position of the chunk each target letter comes from.
+    pf(..) reads only its blocks' lengths, key[1]: built on blocks of the
+    positions 0 .. n-1 of the chunk's labels, its target is those blocks
+    moved."""
+    f, phi = key[0], env.phi
     if f[0] == "id" or f[0] == "word" and not f[1]:
         return chunk, len(uobj_dissolve(chunk, phi)), None
 
@@ -594,9 +623,10 @@ def _elab_factor(f: tuple, chunk: UObj, env: _Env, builds: dict) -> tuple[UObj, 
         return tuple(PhiLetter(w) for w in blocks), len(merged), None
 
     if f[0] == "pf":
-        m2 = _pf(f, chunk, env)
+        sizes = key[1]
+        m2 = _pf(f, tuple(tuple(range(a, a + k)) for a, k in zip(accumulate(sizes, initial=0), sizes)), env)
         u = flatten_mu(m2)
-        return tuple(PhiLetter(w) for w in m2.target), len(u.source), u.content
+        return m2.target, len(u.source), u.content
 
     xraw, yraw = builds[f]  # braid(X, Y)
     k = len(xraw)
@@ -629,8 +659,9 @@ def _elab_mor(ast: MorAst, raw: UObj, env: _Env, builds: dict) -> tuple[tuple, F
     residue, one fmor_join of the rows' contents at their label offsets
     between the edge's letters dissolved; and the target letters. builds,
     the file's memo, keeps a nonempty braid word or perm(..), whose move
-    reads no labels, by (factor, width), and any other factor's build by
-    (factor, chunk). A build that raises stores nothing."""
+    reads no labels, by (factor, width), pf(..) by (factor, block lengths),
+    and any other factor's build by (factor, chunk). A build that raises
+    stores nothing."""
     letters, rows, moves_rows = raw, [], []
     for row in reversed(ast[1]):
         pos, off, kept, tgt_letters, moves = 0, 0, [], [], []
@@ -641,12 +672,23 @@ def _elab_mor(ast: MorAst, raw: UObj, env: _Env, builds: dict) -> tuple[tuple, F
                 for letter in chunk:
                     if type(letter) is PhiLetter and len(letter.word) != 1:
                         raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
-            key = (f, len(chunk)) if by_width else (f, chunk)
+                key = (f, len(chunk))
+            elif f[0] == "pf":
+                words = _formed_words(chunk, env)
+                key = (f, tuple(map(len, words)))
+            else:
+                key = (f, chunk)
             build = builds.get(key)
             if build is None:
-                build = builds[key] = _elab_factor(f, chunk, env, builds)
+                build = builds[key] = _elab_factor(key, chunk, env, builds)
             t_letters, width, content = build
-            tgt_letters += map(chunk.__getitem__, t_letters) if by_width else t_letters
+            if by_width:
+                tgt_letters += map(chunk.__getitem__, t_letters)
+            elif f[0] == "pf":
+                labels = [n for w in words for n in w]
+                tgt_letters += (PhiLetter(tuple(map(labels.__getitem__, b))) for b in t_letters)
+            else:
+                tgt_letters += t_letters
             if content is not None:
                 moves.append((off, content))
             pos += len(chunk)
@@ -673,7 +715,7 @@ def _factor_term(f: tuple, chunk: UObj, env: _Env) -> UMor:
     if f[0] in ("q", "qinv"):
         return (UPhiQ if f[0] == "q" else UPhiQInv)(f[1])
     if f[0] == "pf":
-        return UPhiFree(_pf(f, chunk, env))
+        return UPhiFree(_pf(f, _formed_words(chunk, env), env))
     k = len(_elab_obj(f[1], env))  # braid(X, Y)
     x, y = normalize_uobj(chunk[:k], env.phi), normalize_uobj(chunk[k:], env.phi)
     return UId(x + y) if env.flavor == "M" else UBraiding(x, y)

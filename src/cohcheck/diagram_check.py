@@ -13,6 +13,7 @@ symmetric and plain flavors collapse to a binary verdict.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Sequence
 
 from .braid_core import Perm, braid_str, normalize_braid, perm_one_line
@@ -56,11 +57,16 @@ class _DiagramFields(NamedTuple):
 
 class Diagram(_DiagramFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both check as a call does
-    # residues, an attribute and so outside equality and repr: edge name ->
-    # (the edge, its dissolved term), filled by build_diagram or _edge_residue
+    # attributes, and so outside equality and repr, that live as long as the
+    # diagram: residues, edge name -> (the edge, its dissolved term), filled
+    # by build_diagram or _edge_residue; sides, path -> (its edges, its
+    # SideReport), filled by side_report; and nf_tables, the tables that
+    # normalize_braid's tabled pass keeps for each strand count
     def __new__(cls, *args, **kwargs) -> Diagram:
         self = super().__new__(cls, *args, **kwargs)
         self.residues: dict[str, tuple[Edge, FreeMor]] = {}
+        self.sides: dict[tuple[str, ...], tuple[tuple[Edge | None, ...], SideReport]] = {}
+        self.nf_tables: dict = {}
         return self
 
 
@@ -160,12 +166,21 @@ class SideReport(NamedTuple):
 
 
 def side_report(d: Diagram, path: Sequence[str]) -> SideReport:
-    """The view of a nonempty path's dissolution. The normal form is the
-    Garside one in flavor B and the word otherwise, which spells the
-    permutation; either is injective on parallel sides."""
+    """The view of a nonempty path's dissolution, made once per diagram:
+    a path any of whose edges was replaced in d.edges is made afresh. The
+    normal form is the Garside one in flavor B and the word otherwise,
+    which spells the permutation; either is injective on parallel sides."""
+    path = tuple(path)
+    edges = tuple(map(d.edges.get, path))
+    kept = d.sides.get(path)
+    if kept is not None and all(map(operator.is_, kept[0], edges)):
+        return kept[1]
     u = dissolve_path(d, path)
     word = braid_str(display_braid(u))
-    return SideReport(word, str(normalize_braid(u.content)) if d.flavor == "B" else word, permutation_shadow(u))
+    nf = str(normalize_braid(u.content, tables=d.nf_tables)) if d.flavor == "B" else word
+    report = SideReport(word, nf, permutation_shadow(u))
+    d.sides[path] = (edges, report)
+    return report
 
 
 def _verdict(left: SideReport, right: SideReport) -> Verdict:

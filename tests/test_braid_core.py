@@ -450,35 +450,62 @@ def braid_relation_word(n: int, i: int) -> list[int]:
     return [i, i + 1, i, -(i + 1), -i, -(i + 1)] if n >= 3 else [i, -i]
 
 
-@pytest.mark.parametrize("inverse_share", [0.0, 0.3, 0.5])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_passes_agree(n: int, inverse_share: float) -> None:
+PASSES = [(n, inverse_share) for n in (2, 3, 4, 5, 6) for inverse_share in (0.0, 0.3, 0.5)]
+
+
+def passes_words(n: int, inverse_share: float):
+    """The words test_passes_agree normalizes, four for each length, on
+    both sides of the bound: a seeded word; the word, a braid relation and
+    the word's inverse, which is the identity, though the passes cancel
+    nothing freely; the word with half twists on k strands put in at
+    random places; and that with one on all n strands at the end."""
     rng = random.Random(f"passes:{n}:{inverse_share}")
     bound = tabled_bound(n)
     # past the bound on 6 strands, the words below take ~0.7 s at one share
     for length in (min(bound // 3, 400), bound + 7 if n < 6 or inverse_share == 0.3 else 1200):
         w = list(seeded_word(n, length, inverse_share, rng.randrange(2**32)).letters)
-        nf = _normalize_tabled(n, w)
-        assert nf == _normalize_incremental(n, w), (n, length)
-        # the word, a braid relation and the word's inverse: the identity,
-        # and the passes cancel nothing freely
         mid = braid_relation_word(n, rng.randrange(1, n - 1) if n > 2 else 1)
         back = w + mid + [-l for l in reversed(w)]
-        assert _normalize_tabled(n, back) == _normalize_incremental(n, back) == BraidNormalForm(n, 0, ())
-        # half twists on k strands, put in at random places: each one that
-        # forms a half twist on all n strands is taken out of the factors
         twisted = list(w)
         for _ in range(4):
             k = rng.randrange(2, n + 1)
             off = rng.randrange(0, n - k + 1)
             at = rng.randrange(len(twisted) + 1)
             twisted[at:at] = [l + off for l in perm_braid(_w0(k)).letters]
+        yield w, back, twisted, twisted + list(perm_braid(_w0(n)).letters)
+
+
+@pytest.mark.parametrize("n, inverse_share", PASSES)
+def test_passes_agree(n: int, inverse_share: float) -> None:
+    for w, back, twisted, delta_last in passes_words(n, inverse_share):
+        length = len(w)
+        nf = _normalize_tabled(n, w)
+        assert nf == _normalize_incremental(n, w), (n, length)
+        assert _normalize_tabled(n, back) == _normalize_incremental(n, back) == BraidNormalForm(n, 0, ())
+        # each half twist that forms one on all n strands is taken out of the factors
         tabled = _normalize_tabled(n, twisted)
         assert tabled == _normalize_incremental(n, twisted), (n, length, "twisted")
-        # and one on all n strands at the end, which moves to the front
-        twisted += perm_braid(_w0(n)).letters
-        assert _normalize_tabled(n, twisted) == _normalize_incremental(n, twisted)
-        assert _normalize_tabled(n, twisted).delta_power == tabled.delta_power + 1
+        # and the one on all n strands at the end moves to the front
+        assert _normalize_tabled(n, delta_last) == _normalize_incremental(n, delta_last)
+        assert _normalize_tabled(n, delta_last).delta_power == tabled.delta_power + 1
+
+
+def test_shared_tables_normalize_like_fresh_ones() -> None:
+    """The tabled pass's tables belong to the strand count, not to the
+    word: one tables dict kept across every word of test_passes_agree, in
+    sequence over every n and inverse share, gives the normal forms that
+    tables made afresh for each word give. normalize_braid hands its
+    tables through to the tabled pass."""
+    tables: dict = {}
+    for n, inverse_share in PASSES:
+        for words in passes_words(n, inverse_share):
+            for w in words:
+                assert _normalize_tabled(n, w, tables) == _normalize_tabled(n, w), (n, inverse_share, len(w))
+    assert sorted(tables) == [2, 3, 4, 5, 6]
+    kept: dict = {}
+    w = seeded_word(4, tabled_bound(4), 0.0, 4)
+    assert normalize_braid(w, tables=kept) == normalize_braid(w)
+    assert list(kept) == [4]
 
 
 @pytest.mark.parametrize(
@@ -493,9 +520,9 @@ def test_pass_is_chosen_by_letters_against_n_factorial(monkeypatch, n: int, leng
     taken = []
     for name in ("_normalize_tabled", "_normalize_incremental"):
 
-        def recording(n, letters, name=name, original=getattr(bc, name)):
+        def recording(n, letters, *tables, name=name, original=getattr(bc, name)):
             taken.append(name)
-            return original(n, letters)
+            return original(n, letters, *tables)
 
         monkeypatch.setattr(bc, name, recording)
     w = seeded_word(n, length, 0.0, length)

@@ -846,9 +846,9 @@ def _count_calls(monkeypatch, names) -> collections.Counter:
         original = getattr(cohcheck.free_cat, name, None) or getattr(cohcheck.ualg, name, None)
         original = original or getattr(cohcheck.braid_core, name)
 
-        def counting(*args, name=name, original=original):
+        def counting(*args, name=name, original=original, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, name, None) is original:
@@ -890,6 +890,77 @@ def test_check_reads_each_goal_side_once(monkeypatch, tmp_path, flavor, w):
     per_side = ("fmor_join", "normalize_braid", "braid_perm") if flavor == "braided" else ("fmor_join",)
     assert calls - built == collections.Counter(dict.fromkeys(per_side, 2))
     assert built - calls == collections.Counter()
+
+
+# rows that repeat within one file: the third row of e is its first, f
+# repeats e, and the last two rows of g are alike; pf(..) and braid(..)
+# nest factors and brackets
+_REPEATED_ROWS = (
+    "node n = phi(a b) ; [fa fb]\n"
+    'edge e : n -> n = perm(2 1) ; perm(2 1) . "s1" ; perm(2 1) . perm(2 1) ; perm(2 1)\n'
+    'edge f : n -> n = perm(2 1) ; perm(2 1) . "s1" ; perm(2 1) . perm(2 1) ; perm(2 1)\n'
+    'edge g : n -> n = pf(outer=id; inner=perm(2 1)) ; "s1" . braid(phi(a b), [fa fb]) . id ; s1 . id ; s1\n'
+    "goal h : e . f == g\n"
+)
+
+
+def test_parser_reads_each_distinct_row_once(monkeypatch):
+    """Within one parse_source call a row is looked up by its tokens: each
+    distinct row's factors are parsed once, and equal rows are the same
+    tuple."""
+    spans = []
+
+    def recording(cur, original=cli._parse_factor):
+        at = cur.i
+        f = original(cur)
+        spans.append(" ".join(cur.texts[at : cur.i]))
+        return f
+
+    monkeypatch.setattr(cli, "_parse_factor", recording)
+    sf = parse_source(_tiny(_REPEATED_ROWS, "symmetric"))
+    # a factor inside pf(..) is parsed before pf(..) itself is done
+    assert spans == [
+        "perm ( 2 1 )", "perm ( 2 1 )", '"s1"', "perm ( 2 1 )",
+        "id", "perm ( 2 1 )", "pf ( outer = id ; inner = perm ( 2 1 ) )", '"s1"',
+        "braid ( phi ( a b ) , [ fa fb ] )", "id", "s1",
+    ]
+    e, f, g = (ast[1] for *_, ast in sf.edges)
+    assert e == f and all(x is y for x, y in zip(e, f)) and e[0] is e[2]
+    assert g[2] is g[3]
+
+
+def test_memos_live_for_one_call():
+    """Nothing carries over between parse_source calls or between diagrams:
+    two parses of one text give equal rows and factors that are not the
+    same tuples, and two diagrams built from one parse share no side
+    report and no table of the normal form."""
+    text = (LONG / "braided4.coh").read_text(encoding="utf-8")
+    one, two = parse_source(text), parse_source(text)
+    assert one == two
+    rows_one, rows_two = one.edges[0][3][1], two.edges[0][3][1]
+    assert all(a == b and a is not b for a, b in zip(rows_one, rows_two))
+    factors = [(a, b) for x, y in zip(rows_one, rows_two) for a, b in zip(x[1], y[1]) if a[0] == "braid"]
+    assert factors and all(a == b and a is not b for a, b in factors)
+    first, second = build_diagram(one), build_diagram(one)
+    for d in (first, second):
+        for goal in d.goals:
+            explain_goal(d, goal)
+    assert first.sides.keys() == second.sides.keys() and first.sides
+    for path, (_, report) in first.sides.items():
+        assert report == second.sides[path][1] and report is not second.sides[path][1]
+    assert first.nf_tables.keys() == second.nf_tables.keys() == {4}
+    held = [id(t) for d in (first, second) for t in (d.nf_tables, *d.nf_tables[4])]
+    assert len(set(held)) == len(held)
+
+
+def test_goals_that_share_a_side_share_its_report():
+    d = build_diagram(parse_source(_tiny(
+        "node n = [fa fa]\nedge e : n -> n = s1\nedge f : n -> n = s1^-1\n"
+        "goal g1 : e . e == f . e\ngoal g2 : e . e == e\ngoal g3 : f . e == e . e\n"
+    )))
+    g1, g2, g3 = (explain_goal(d, g) for g in d.goals)
+    assert g1.left is g2.left is g3.right and g1.right is g3.left
+    assert len(d.sides) == 3
 
 
 def test_check_deep_edge(tmp_path):

@@ -9,7 +9,8 @@ imported it. A linear family passes when each doubling multiplies every
 count by at most LINEAR. One family counts output bytes, whose size is
 itself the answer, and asserts their true, quadratic order. Mixed-sign
 braid words count the pair repairs of the normal form on each of its two
-passes.
+passes, and edges of k copies of one row count the parser's factor
+parses.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 import pytest
 
 import cohcheck.braid_core
+import cohcheck.cli
 import cohcheck.free_cat
 import cohcheck.ualg
 from cohcheck.braid_core import BraidWord
@@ -52,9 +54,9 @@ def _letters_handed(monkeypatch, source: str) -> collections.Counter:
         for name, (home, size) in BUILDERS.items():
             original = getattr(home, name)
 
-            def counting(*args, name=name, original=original, size=size):
+            def counting(*args, name=name, original=original, size=size, **kwargs):
                 handed[name] += size(*args)
-                return original(*args)
+                return original(*args, **kwargs)
 
             for mod in list(sys.modules.values()):
                 if getattr(mod, "__name__", "").startswith("cohcheck") and getattr(mod, name, None) is original:
@@ -74,9 +76,12 @@ def _file(flavor: str, body: str) -> str:
 
 
 def _goal_path(flavor: str, k: int) -> str:
-    """A goal both of whose sides are k copies of the one edge."""
-    path = " . ".join(["e"] * k)
-    return _file(flavor, f"node n = [fa fa fa]\nedge e : n -> n = {WORD}\ngoal g : {path} == {path}\n")
+    """A goal whose sides are k copies of one edge and k copies of another
+    with the same word: two paths, so that each side is joined and
+    normalized."""
+    left, right = (" . ".join([name] * k) for name in "ef")
+    edges = f"edge e : n -> n = {WORD}\nedge f : n -> n = {WORD}\n"
+    return _file(flavor, f"node n = [fa fa fa]\n{edges}goal g : {left} == {right}\n")
 
 
 @pytest.mark.parametrize("flavor", ["braided", "symmetric"])
@@ -131,16 +136,18 @@ def _goals_on_one_edge(flavor: str, k: int) -> str:
 
 @pytest.mark.parametrize("flavor", ["braided", "symmetric"])
 def test_goals_on_one_edge_dissolve_it_once(monkeypatch, flavor):
-    """The edge is dissolved once per diagram, so the letters handed to
-    uobj_dissolve do not grow with the number of goals; every other count
-    grows linearly with them."""
+    """The edge is dissolved once per diagram, and the one side e . e is
+    joined and normalized once per diagram, so no count grows with the
+    number of goals: not the letters handed to uobj_dissolve, nor to
+    fmor_join, nor to normalize_braid."""
     k = 40
     counts = [_letters_handed(monkeypatch, _goals_on_one_edge(flavor, size)) for size in (k, 2 * k, 4 * k)]
-    assert counts[0]["fmor_join"] >= 4 * k * (40 if flavor == "braided" else 3)
-    assert counts[0]["uobj_dissolve"] == counts[1]["uobj_dissolve"] == counts[2]["uobj_dissolve"] > 0
-    for small, large in zip(counts, counts[1:]):
-        for name in BUILDERS:
-            assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
+    # the counters see the side: its letters, or strands in flavor S
+    assert counts[0]["fmor_join"] >= 2 * (40 if flavor == "braided" else 3)
+    assert counts[0]["uobj_dissolve"] > 0
+    assert counts[0]["normalize_braid"] == (2 * 40 if flavor == "braided" else 0)
+    for name in BUILDERS:
+        assert counts[0][name] == counts[1][name] == counts[2][name], (name, [c[name] for c in counts])
 
 
 def _pf_on_blocks(flavor: str, k: int, outer: bool) -> str:
@@ -181,6 +188,40 @@ def test_braid_of_width_k_is_linear(monkeypatch, flavor):
     for small, large in zip(counts, counts[1:]):
         for name in BUILDERS:
             assert large[name] <= LINEAR * small[name], (name, small[name], large[name])
+
+
+def _rows_of_copies(flavor: str, k: int, factor: str, item: str) -> str:
+    """A goal on one edge of k copies of one row, which holds one factor."""
+    rows = " . ".join([factor] * k)
+    return _file(flavor, f"node n = {item}\nedge e : n -> n = {rows}\ngoal g : e == e\n")
+
+
+@pytest.mark.parametrize("flavor", ["braided", "symmetric"])
+@pytest.mark.parametrize(
+    "factor, item", [("braid([fa], [fa])", "[fa fa]"), ("pf(outer=id; inner=s1)", "phi(a a)")], ids=["braid", "pf"]
+)
+def test_k_copies_of_a_row_parse_it_once(monkeypatch, flavor, factor, item):
+    """The parser looks a row up by its tokens before it parses it, so an
+    edge of k copies of one row parses its factor, and for pf(..) the
+    factors inside, once at k, 2k and 4k."""
+    k = 40
+    counts = []
+    for size in (k, 2 * k, 4 * k):
+        source = _rows_of_copies(flavor, size, factor, item)
+        parses = collections.Counter()
+        with monkeypatch.context() as patch:
+            original = cohcheck.cli._parse_factor
+
+            def counting(cur, original=original):
+                parses[cur.texts[cur.i]] += 1
+                return original(cur)
+
+            patch.setattr(cohcheck.cli, "_parse_factor", counting)
+            sf = parse_source(source)
+        d = build_diagram(sf)
+        assert explain_goal(d, d.goals[0]).verdict == "equal"
+        counts.append(parses)
+    assert counts[0] == counts[1] == counts[2] == ({"braid": 1} if factor.startswith("braid") else {"pf": 1, "id": 1, "s1": 1})
 
 
 def _mixed_sign_word(n: int, k: int) -> BraidWord:
