@@ -35,10 +35,10 @@ import json
 import os
 import re
 import sys
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, islice
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .braid_core import (
     _LETTER_RE, BraidWord, Perm, block_braid, block_perm, braid_equal, braid_perm, braid_str, parse_braid, permute,
@@ -269,23 +269,23 @@ def _parse_factor(cur: _Cursor) -> tuple:
         if i < len(parts):
             raise cur.error(f"{parts[i]!r} is not a braid letter", at)
         return ("word", tuple(letters))
-    if _LETTER_RE.fullmatch(t):  # a bare word: the run of letter tokens from here
-        letters, cur.i = _parse_letters(texts, at, cur)
-        return ("word", tuple(letters))
     if t == "perm":
         cur.expect("(")
-        images, i = [], cur.i
-        while i < len(texts) and texts[i] != ")":
-            if texts[i] != ",":
-                if not texts[i].isdigit():
-                    raise cur.error(f"expected a strand number, found {texts[i]!r}", i)
-                images.append(_number(texts[i], cur, i))
+        images, i = [], cur.i  # 0-based as read
+        while i < len(texts) and (s := texts[i]) != ")":
+            if s != ",":
+                if not s.isdigit():
+                    raise cur.error(f"expected a strand number, found {s!r}", i)
+                images.append((int(s) if len(s) < 20 else _number(s, cur, i)) - 1)  # only a long one can fail
             i += 1
         cur.i = i
         cur.expect(")")
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise cur.error(f"{images} is not a permutation of 1..{len(images)}", at)
-        return ("perm", tuple([k - 1 for k in images]))
+        if sorted(images) != list(range(len(images))):
+            raise cur.error(f"{[k + 1 for k in images]} is not a permutation of 1..{len(images)}", at)
+        return ("perm", tuple(images))
+    if _LETTER_RE.fullmatch(t):  # a bare word: the run of letter tokens from here
+        letters, cur.i = _parse_letters(texts, at, cur)
+        return ("word", tuple(letters))
     if t == "q":
         return ("q", _parse_block_list(cur))
     if t == "q^-1":
@@ -588,11 +588,11 @@ def _pf(f: tuple, blocks: tuple[tuple[Label, ...], ...], env: _Env) -> FreeMor2:
 
 
 def _elab_factor(key: tuple, chunk: UObj, env: _Env, builds: dict) -> tuple[UObj, int, Content]:
-    """A factor, key[0], on the chunk _take_factor gave it, built for its
-    key in builds (_elab_mor); a result that depends on nothing else: its
-    target letters, and the width and content of its move on the chunk's
-    labels; the content is None for an identity (id, q, q^-1, an empty
-    word, any factor in M). A nonempty braid word or perm(..)
+    """A factor but perm(..), key[0], on the chunk _take_factor gave it,
+    built for its key in builds (_elab_mor); a result that depends on
+    nothing else: its target letters, and the width and content of its
+    move on the chunk's labels; the content is None for an identity (id, q,
+    q^-1, an empty word, any factor in M). A nonempty braid word
     reads only the chunk's length: built on the positions 0 .. n-1, its
     target says which position of the chunk each target letter comes from.
     pf(..) reads only its blocks' lengths, key[1]: built on blocks of the
@@ -602,7 +602,7 @@ def _elab_factor(key: tuple, chunk: UObj, env: _Env, builds: dict) -> tuple[UObj
     if f[0] == "id" or f[0] == "word" and not f[1]:
         return chunk, len(uobj_dissolve(chunk, phi)), None
 
-    if f[0] in ("word", "perm"):
+    if f[0] == "word":
         u = _free_mor(f, tuple(range(len(chunk))), env, "")
         return u.target, len(chunk), u.content
 
@@ -654,24 +654,44 @@ def _letter_matches_block(letter: ULetter, word: tuple[str, ...], env: _Env) -> 
     return False
 
 
+def _chunks(factors: tuple, letters: UObj, env: _Env, builds: dict) -> Iterator[tuple[tuple, UObj]]:
+    """Each factor of a row with the chunk it takes of the row's source
+    letters, in order; then a check that the row took them all."""
+    pos, last = 0, len(factors) - 1
+    for idx, f in enumerate(factors):
+        chunk = _take_factor(f, letters, pos, idx == last, env, builds)
+        yield f, chunk
+        pos += len(chunk)
+    if pos < len(letters):
+        raise ElabError(
+            f"{len(letters) - pos} source letters not consumed, starting at {format_uobj((letters[pos],))}", env.span
+        )
+
+
 def _elab_mor(ast: MorAst, raw: UObj, env: _Env, builds: dict) -> tuple[tuple, FreeMor, UObj]:
-    """The rows, each factor with its chunk in application order; the
-    residue, one fmor_join of the rows' contents at their label offsets
-    between the edge's letters dissolved; and the target letters. builds,
-    the file's memo, keeps a nonempty braid word or perm(..), whose move
-    reads no labels, by (factor, width), pf(..) by (factor, block lengths),
-    and any other factor's build by (factor, chunk). A build that raises
-    stores nothing."""
+    """The rows in application order, each (factors, source letters): the
+    parse's own factor tuple and the letters the row reads, from which
+    _chunks gives each chunk back; the residue, one fmor_join of the rows'
+    contents at their label offsets between the edge's letters dissolved;
+    and the target letters. perm(..) is applied, not built: its target is
+    its chunk permuted, its move its permutation at the chunk's width.
+    builds, the file's memo, keeps a nonempty braid word by (factor,
+    width), pf(..) by (factor, block lengths), and any other factor by
+    (factor, chunk). A build that raises stores nothing."""
     letters, rows, moves_rows = raw, [], []
     for row in reversed(ast[1]):
-        pos, off, kept, tgt_letters, moves = 0, 0, [], [], []
-        for idx, f in enumerate(row[1]):
-            chunk = _take_factor(f, letters, pos, idx == len(row[1]) - 1, env, builds)
+        off, tgt_letters, moves = 0, [], []
+        for f, chunk in _chunks(row[1], letters, env, builds):
             if by_width := f[0] == "perm" or f[0] == "word" and f[1]:
                 # names were checked when the letters were made: only a formed letter not of length one is faulty
                 for letter in chunk:
                     if type(letter) is PhiLetter and len(letter.word) != 1:
                         raise ElabError(f"{format_uobj((letter,))} is not a single plain letter", env.span)
+                if f[0] == "perm":
+                    tgt_letters += permute(chunk, f[1])
+                    moves.append((off, f[1]))
+                    off += len(chunk)
+                    continue
                 key = (f, len(chunk))
             elif f[0] == "pf":
                 words = _formed_words(chunk, env)
@@ -691,15 +711,8 @@ def _elab_mor(ast: MorAst, raw: UObj, env: _Env, builds: dict) -> tuple[tuple, F
                 tgt_letters += t_letters
             if content is not None:
                 moves.append((off, content))
-            pos += len(chunk)
             off += width
-            kept.append((f, chunk))
-        if pos < len(letters):
-            raise ElabError(
-                f"{len(letters) - pos} source letters not consumed, starting at "
-                f"{format_uobj((letters[pos],))}", env.span
-            )
-        rows.append(tuple(kept))
+        rows.append((row[1], letters))
         moves_rows.append(moves)
         letters = tuple(tgt_letters)
     residue = fmor_join(env.flavor, uobj_dissolve(raw, env.phi), uobj_dissolve(letters, env.phi), moves_rows)
@@ -723,21 +736,18 @@ def _factor_term(f: tuple, chunk: UObj, env: _Env) -> UMor:
 
 class _ParsedEdge(Edge):
     """An edge of a parsed file: its fourth field holds the rows _elab_mor
-    kept, read in env. The term is derived from them when first read, and
-    kept: each row is the tensor of its factors, composed in order.
-    repr, _asdict() and tuple unpacking read the tuple, so they show the
-    rows; .term is the way to read the term. _replace gives a hand-built
-    Edge that carries the derived term."""
+    kept, each (factors, source letters), read in env. The term is derived
+    from them when first read, and kept: each row is the tensor of its
+    factors on the chunks _chunks gives back, composed in order. repr,
+    _asdict() and tuple unpacking read the tuple, so they show the rows;
+    .term is the way to read the term. _replace gives a hand-built Edge
+    that carries the derived term."""
 
     @cached_property
     def term(self) -> UMor:
-        composite = None
-        for row in self[3]:
-            *left, term = (_factor_term(f, chunk, self.env) for f, chunk in row)
-            for t in reversed(left):
-                term = UTensor(t, term)
-            composite = term if composite is None else UCompose(term, composite)
-        return composite
+        terms = ([_factor_term(f, chunk, self.env) for f, chunk in _chunks(*row, self.env, {})] for row in self[3])
+        rows = (reduce(lambda right, left: UTensor(left, right), reversed(factors)) for factors in terms)
+        return reduce(lambda applied, row: UCompose(row, applied), rows)
 
     def _replace(self, **fields) -> Edge:
         return Edge(*self[:3], self.term)._replace(**fields)
@@ -761,7 +771,7 @@ def build_diagram(sf: SourceFile) -> Diagram:
         nodes[name] = normalize_uobj(raw_nodes[name], phi)
 
     residues: dict[str, tuple[Edge, FreeMor]] = {}  # each edge with its dissolved term
-    # for every edge of this file: (factor, width) -> a word's or perm's build,
+    # for every edge of this file: (factor, width) -> a braid word's build,
     # (factor, chunk) -> any other factor's, braid(X, Y) -> its objects
     builds: dict = {}
     for name, esrc, etgt, ast in sf.edges:

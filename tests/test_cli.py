@@ -248,6 +248,33 @@ def test_bad_perm_literal():
                      "node n = [a a]\nedge e : n -> n = perm(1 3)\n")
 
 
+# each outcome of reading perm(..): the message and column of an error, with
+# the images listed 1-based as written, or the 0-based images parsed
+PERM_OUTCOMES = [
+    ("perm(1 1)", "[1, 1] is not a permutation of 1..2", 19),
+    ("perm(0 1)", "[0, 1] is not a permutation of 1..2", 19),
+    ("perm(3 1)", "[3, 1] is not a permutation of 1..2", 19),
+    ("perm(2 x 1)", "expected a strand number, found 'x'", 26),
+    ("perm(2 -1)", "expected a strand number, found '-1'", 26),
+    ("perm(2 1", "unexpected end of line", 27),
+    ("perm(2 " + "1" * 5000 + ")", "a number of 5000 digits is too long", 26),
+    ("perm(2, 1)", (1, 0), None),
+    ("perm()", (), None),
+]
+
+
+@pytest.mark.parametrize("expr, outcome, col", PERM_OUTCOMES, ids=[e[:12] for e, *_ in PERM_OUTCOMES])
+def test_perm_parse_outcomes(expr, outcome, col):
+    text = f"edge e : n -> n = {expr}"
+    if col is None:
+        (edge,) = parse_source("node n = [a]\n" + text).edges
+        assert edge[3] == ("compose", (("tensor", (("perm", outcome),)),))
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert (exc.value.message, exc.value.span.line, exc.value.span.col) == (outcome, 1, col)
+
+
 def test_trailing_tokens_rejected():
     with pytest.raises(ParseError, match="trailing"):
         parse_source("flavor braided extra")
@@ -703,6 +730,49 @@ def test_build_and_explain_make_no_term_tree(monkeypatch, path):
     # a replaced parsed edge is a hand-built one, carrying the derived term
     e = next(iter(d.edges.values()))
     assert e._replace(name="x") == Edge("x", e.source, e.target, terms[0])
+
+
+@pytest.mark.parametrize("path", [FIXTURES / "cursed_lift.coh", LONG / "symmetric8.coh", LONG / "braided4.coh"],
+                         ids=lambda p: p.name)
+def test_edge_keeps_each_row_as_its_factors_and_source_letters(path):
+    """A parsed edge keeps one (factors, source letters) pair per row, in
+    application order: the factors are the tuple the parse returned, and
+    the letters are those the row reads, the edge's source letters for the
+    first row and the letters the row before it left for each later one."""
+    sf = parse_source(path.read_text(encoding="utf-8"))
+    d = build_diagram(sf)
+    nodes = dict(sf.nodes)
+    for (_, esrc, etgt, ast), e in zip(sf.edges, d.edges.values()):
+        assert len(e[3]) == len(ast[1])
+        letters = cli._elab_obj(nodes[esrc], e.env)
+        for (factors, kept), row in zip(e[3], reversed(ast[1])):
+            assert factors is row[1] and kept == letters
+            _, _, letters = cli._elab_mor(("compose", (row,)), letters, e.env, {})
+        assert ualg.normalize_uobj(letters, e.env.phi) == d.nodes[etgt]
+
+
+def test_perm_rows_are_applied_not_built(monkeypatch):
+    """No perm(..) factor of a row is built: elaboration neither hands one
+    to _elab_factor nor makes a free morphism of it. A perm(..) part of a
+    pf(..) is still built with the pf(..)."""
+    built = collections.Counter()
+    elab_factor, free_mor = cli._elab_factor, cli._free_mor
+
+    def counting_factor(key, chunk, env, builds):
+        built["_elab_factor", key[0][0]] += 1
+        return elab_factor(key, chunk, env, builds)
+
+    def counting_free_mor(f, x, env, part):
+        built["_free_mor", f[0], part] += 1
+        return free_mor(f, x, env, part)
+
+    monkeypatch.setattr(cli, "_elab_factor", counting_factor)
+    monkeypatch.setattr(cli, "_free_mor", counting_free_mor)
+    sf = parse_source((LONG / "symmetric8.coh").read_text(encoding="utf-8"))
+    assert sum(f[0] == "perm" for *_, ast in sf.edges for row in ast[1] for f in row[1]) > 100
+    build_diagram(sf)
+    assert built["_elab_factor", "perm"] == built["_free_mor", "perm", ""] == 0
+    assert built["_elab_factor", "word"] > 0 and built["_free_mor", "perm", "inner"] > 0  # the counters see builds
 
 
 @pytest.mark.parametrize("flavor, swap", [("braided", "s1"), ("symmetric", "perm(2 1)")])

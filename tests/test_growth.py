@@ -9,8 +9,9 @@ imported it. A linear family passes when each doubling multiplies every
 count by at most LINEAR. One family counts output bytes, whose size is
 itself the answer, and asserts their true, quadratic order. Mixed-sign
 braid words count the pair repairs of the normal form on each of its two
-passes, and edges of k copies of one row count the parser's factor
-parses.
+passes, edges of k copies of one row count the parser's factor parses,
+and an edge of k distinct perm(..) rows counts its builds and the tuples
+and lists it keeps.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import collections
 import random
 import sys
+from itertools import islice, permutations
 
 import pytest
 
@@ -222,6 +224,53 @@ def test_k_copies_of_a_row_parse_it_once(monkeypatch, flavor, factor, item):
         assert explain_goal(d, d.goals[0]).verdict == "equal"
         counts.append(parses)
     assert counts[0] == counts[1] == counts[2] == ({"braid": 1} if factor.startswith("braid") else {"pf": 1, "id": 1, "s1": 1})
+
+
+def _distinct_perm_rows(k: int) -> str:
+    """A goal on one edge of k rows, each a distinct perm(..) of 6 letters
+    fa, so that no row repeats and the edge ends where it starts."""
+    rows = " . ".join(f"perm({' '.join(map(str, p))})" for p in islice(permutations(range(1, 7)), k))
+    return _file("symmetric", f"node n = [fa fa fa fa fa fa]\nedge e : n -> n = {rows}\ngoal g : e == e\n")
+
+
+def _held(root) -> set[int]:
+    """The ids of the tuples and lists reachable from root through tuples
+    and lists."""
+    seen, todo = set(), [root]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (tuple, list)) and id(x) not in seen:
+            seen.add(id(x))
+            todo.extend(x)
+    return seen
+
+
+def test_distinct_perm_rows_are_applied_and_kept_linearly(monkeypatch):
+    """An edge of k distinct perm(..) rows builds none of them, at k, 2k
+    and 4k, and the objects it keeps beyond its parse grow by at most two a
+    row: the row's pair and its source letters."""
+    k = 40
+    kept = []
+    for size in (k, 2 * k, 4 * k):
+        builds = collections.Counter()
+        with monkeypatch.context() as patch:
+            original = cohcheck.cli._elab_factor
+
+            def counting(key, *args, original=original):
+                builds[key[0][0]] += 1
+                return original(key, *args)
+
+            patch.setattr(cohcheck.cli, "_elab_factor", counting)
+            sf = parse_source(_distinct_perm_rows(size))
+            d = build_diagram(sf)
+        assert builds["perm"] == 0
+        assert explain_goal(d, d.goals[0]).verdict == "equal"
+        (e,) = d.edges.values()
+        kept.append(len(_held(e[3]) - _held(sf.edges)))
+    assert kept[0] >= k  # the count sees every row
+    for small, large in zip(kept, kept[1:]):
+        assert large <= LINEAR * small, kept
+    assert kept[1] - kept[0] <= 2 * k and kept[2] - kept[1] <= 2 * 2 * k, kept
 
 
 def _mixed_sign_word(n: int, k: int) -> BraidWord:
